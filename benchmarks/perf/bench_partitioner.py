@@ -1,54 +1,37 @@
 #!/usr/bin/env python
-"""Partitioner engine benchmark: batched fused-kernel vs. legacy loop.
+"""Mega-batch benchmark: queued partition jobs solved solo vs packed.
 
-Times :func:`repro.partition` on reconstructed Table I circuits for both
-solver engines (``PartitionConfig.engine``), verifies that the engines
-produce bitwise-identical rounded labels for the same seed, and writes
-the results to ``BENCH_partitioner.json`` so later PRs inherit a
-comparable perf trajectory.
-
-``--megabatch`` switches to the cross-job packing scenario instead:
-queues of 1/4/16 compatible partition jobs run through
+Queues of 1/4/16 compatible partition jobs run through
 :func:`repro.harness.runner.run_jobs` once solo and once packed
 (``megabatch=True``), the per-job payloads are diffed bitwise (any
 mismatch is a hard failure — packing is only legal because it is
 invisible), and the solo/packed throughput ratio is written to
-``BENCH_megabatch.json``.
+``BENCH_megabatch.json``.  Solver time per call is measured by the
+performance ledger (``benchmarks/ledger/``, ``core.solve_ms_per_call``).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/perf/bench_partitioner.py
-    PYTHONPATH=src python benchmarks/perf/bench_partitioner.py --quick
     PYTHONPATH=src python benchmarks/perf/bench_partitioner.py --megabatch
+    PYTHONPATH=src python benchmarks/perf/bench_partitioner.py --quick --megabatch
 
-``--quick`` is the CI smoke mode: one small circuit, one repeat, a
-reduced iteration cap — it exists to prove the harness runs, not to
-produce meaningful timings.
+``--megabatch`` names the scenario; it is the only one, so the flag may
+be left out.  ``--quick`` is the CI smoke mode: 1 repeat, 4 restarts, a
+300-iteration cap — it exists to prove the packed payloads match, not
+to produce meaningful timings.
 
-JSON schema (one entry per circuit in ``results``)::
+JSON schema (one entry per queue depth in ``results``)::
 
     {
-      "meta":    {timestamp, python, numpy, platform, quick, planes,
-                  restarts, repeats, max_iterations, seed},
-      "results": [{circuit, gates, connections, planes, restarts,
-                   loop_s, batched_s, speedup, labels_identical,
-                   loop_iterations, batched_iterations,
-                   loop_restart_iterations, batched_restart_iterations,
-                   loop_total_iterations, batched_total_iterations,
-                   loop_converged_fraction, batched_converged_fraction}],
-      "summary": {geomean_speedup, all_labels_identical}
+      "meta":    {timestamp, python, numpy, platform, quick, scenario,
+                  circuit, planes, restarts, repeats, max_iterations, seed},
+      "results": [{circuit, gates, connections, planes, restarts, jobs,
+                   solo_s, packed_s, solo_jobs_per_s, packed_jobs_per_s,
+                   throughput_ratio, payloads_identical}],
+      "summary": {max_throughput_ratio, all_payloads_identical}
     }
 
-    ``*_iterations`` is the winning restart; ``*_restart_iterations``
-    lists every restart and ``*_total_iterations`` sums them, so a
-    speedup can be checked against equal work per engine rather than
-    conflated with early convergence.  ``*_converged_fraction`` is the
-    share of restarts whose margin criterion fired before the iteration
-    cap.
-
-Timings are the best (minimum) of ``--repeats`` runs of a full
-``partition()`` call — restarts, rounding, restart scoring and repair
-included — in a single process on one machine.
+Timings are the best (minimum) of ``--repeats`` runs of each queue in a
+single process on one machine.
 """
 
 import argparse
@@ -61,111 +44,18 @@ import time
 
 import numpy as np
 
-DEFAULT_CIRCUITS = ("KSA8", "KSA16", "MULT8")
-DEFAULT_OUTPUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_partitioner.json")
 DEFAULT_MEGABATCH_OUTPUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "BENCH_megabatch.json"
 )
 
-#: Queue depths measured by the ``--megabatch`` scenario.
+#: Queue depths measured.
 MEGABATCH_JOB_COUNTS = (1, 4, 16)
 
-#: Default circuit for ``--megabatch``: packing amortizes per-iteration
+#: Default circuit: packing amortizes per-iteration
 #: Python/dispatch overhead, which dominates small solves — a queue of
 #: small repeated requests is exactly the service workload the packer
 #: targets (large single solves are already arithmetic-bound).
 MEGABATCH_CIRCUIT = "KSA4"
-
-
-def _time_partition(netlist, num_planes, config, repeats):
-    """Best-of-``repeats`` wall time of one full partition() call."""
-    from repro.core.partitioner import partition
-
-    best = math.inf
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = partition(netlist, num_planes, config=config)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, result
-
-
-def run_benchmark(circuits, planes, restarts, repeats, max_iterations, seed, quick):
-    from repro.circuits.suite import build_circuit
-    from repro.core.config import PartitionConfig
-
-    base = PartitionConfig(seed=seed, restarts=restarts, max_iterations=max_iterations)
-    rows = []
-    for name in circuits:
-        netlist = build_circuit(name)
-        loop_s, loop_result = _time_partition(
-            netlist, planes, base.with_(engine="loop"), repeats
-        )
-        batched_s, batched_result = _time_partition(
-            netlist, planes, base.with_(engine="batched"), repeats
-        )
-        identical = bool(np.array_equal(loop_result.labels, batched_result.labels))
-        loop_iters = [s["iterations"] for s in loop_result.restart_stats]
-        batched_iters = [s["iterations"] for s in batched_result.restart_stats]
-        loop_conv = [s["converged"] for s in loop_result.restart_stats]
-        batched_conv = [s["converged"] for s in batched_result.restart_stats]
-        rows.append(
-            {
-                "circuit": name,
-                "gates": netlist.num_gates,
-                "connections": netlist.num_connections,
-                "planes": planes,
-                "restarts": restarts,
-                "loop_s": round(loop_s, 6),
-                "batched_s": round(batched_s, 6),
-                "speedup": round(loop_s / batched_s, 3) if batched_s > 0 else math.inf,
-                "labels_identical": identical,
-                "loop_iterations": loop_result.trace.iterations,
-                "batched_iterations": batched_result.trace.iterations,
-                "loop_restart_iterations": loop_iters,
-                "batched_restart_iterations": batched_iters,
-                "loop_total_iterations": sum(loop_iters),
-                "batched_total_iterations": sum(batched_iters),
-                "loop_converged_fraction": sum(loop_conv) / len(loop_conv),
-                "batched_converged_fraction": sum(batched_conv) / len(batched_conv),
-            }
-        )
-        print(
-            f"{name:>8}  G={netlist.num_gates:<5} E={netlist.num_connections:<5} "
-            f"loop {loop_s * 1e3:8.1f} ms   batched {batched_s * 1e3:8.1f} ms   "
-            f"speedup {rows[-1]['speedup']:5.2f}x   labels identical: {identical}   "
-            f"iters {sum(loop_iters)}/{sum(batched_iters)}   "
-            f"converged {sum(batched_conv)}/{len(batched_conv)}"
-        )
-
-    speedups = [r["speedup"] for r in rows if math.isfinite(r["speedup"])]
-    geomean = math.exp(sum(math.log(s) for s in speedups) / len(speedups)) if speedups else 0.0
-    return {
-        "meta": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-            "quick": quick,
-            "planes": planes,
-            "restarts": restarts,
-            "repeats": repeats,
-            "max_iterations": max_iterations,
-            "seed": seed,
-        },
-        "results": rows,
-        "summary": {
-            "geomean_speedup": round(geomean, 3),
-            "all_labels_identical": all(r["labels_identical"] for r in rows),
-            # Bitwise engine equivalence implies identical per-restart
-            # iteration counts; a False here means a speedup figure is
-            # comparing unequal amounts of work.
-            "iteration_counts_identical": all(
-                r["loop_restart_iterations"] == r["batched_restart_iterations"] for r in rows
-            ),
-        },
-    }
 
 
 def run_megabatch_benchmark(circuit, planes, restarts, repeats, max_iterations, seed, quick):
@@ -254,27 +144,25 @@ def run_megabatch_benchmark(circuit, planes, restarts, repeats, max_iterations, 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--circuits", nargs="+", default=None)
+    parser.add_argument("--circuit", default=MEGABATCH_CIRCUIT)
     parser.add_argument("--planes", type=int, default=5)
     parser.add_argument("--restarts", type=int, default=8)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--max-iterations", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=2020)
-    parser.add_argument("--output", default=None)
+    parser.add_argument("--output", default=DEFAULT_MEGABATCH_OUTPUT)
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: KSA8 only, 1 repeat, 4 restarts, 300-iteration cap",
+        help="CI smoke mode: 1 repeat, 4 restarts, 300-iteration cap",
     )
     parser.add_argument(
         "--megabatch",
         action="store_true",
-        help="benchmark cross-job packing (solo vs packed run_jobs) instead "
-             "of the engine comparison; fails on any payload mismatch",
+        help="benchmark cross-job packing (solo vs packed run_jobs); the "
+             "only scenario, so this is the default",
     )
     args = parser.parse_args(argv)
-    if args.output is None:
-        args.output = DEFAULT_MEGABATCH_OUTPUT if args.megabatch else DEFAULT_OUTPUT
 
     if args.planes < 2:
         parser.error("--planes must be >= 2 (K = 1 is the trivial single-plane partition)")
@@ -287,38 +175,9 @@ def main(argv=None):
         args.repeats = 1
         args.restarts = 4
         args.max_iterations = 300
-    if args.circuits is None:
-        if args.megabatch:
-            args.circuits = [MEGABATCH_CIRCUIT]
-        elif args.quick:
-            args.circuits = ["KSA8"]
-        else:
-            args.circuits = list(DEFAULT_CIRCUITS)
 
-    if args.megabatch:
-        report = run_megabatch_benchmark(
-            circuit=args.circuits[0],
-            planes=args.planes,
-            restarts=args.restarts,
-            repeats=args.repeats,
-            max_iterations=args.max_iterations,
-            seed=args.seed,
-            quick=args.quick,
-        )
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(
-            f"\nmax throughput ratio "
-            f"{report['summary']['max_throughput_ratio']}x  ->  {args.output}"
-        )
-        if not report["summary"]["all_payloads_identical"]:
-            print("ERROR: packed payloads differ from solo payloads", file=sys.stderr)
-            return 1
-        return 0
-
-    report = run_benchmark(
-        circuits=args.circuits,
+    report = run_megabatch_benchmark(
+        circuit=args.circuit,
         planes=args.planes,
         restarts=args.restarts,
         repeats=args.repeats,
@@ -329,9 +188,12 @@ def main(argv=None):
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
-    print(f"\ngeomean speedup {report['summary']['geomean_speedup']}x  ->  {args.output}")
-    if not report["summary"]["all_labels_identical"]:
-        print("ERROR: engines disagreed on rounded labels", file=sys.stderr)
+    print(
+        f"\nmax throughput ratio "
+        f"{report['summary']['max_throughput_ratio']}x  ->  {args.output}"
+    )
+    if not report["summary"]["all_payloads_identical"]:
+        print("ERROR: packed payloads differ from solo payloads", file=sys.stderr)
         return 1
     return 0
 

@@ -13,7 +13,7 @@ import pytest
 from conftest import write_artifact
 from repro.circuits.suite import build_circuit
 from repro.core.partitioner import partition
-from repro.core.scipy_optimizer import partition_lbfgs
+from repro.baselines.lbfgs import partition_lbfgs
 from repro.harness.formatting import ascii_table, percent
 from repro.metrics.report import evaluate_partition
 

@@ -11,7 +11,9 @@ baselines make that claim measurable:
 * :func:`spectral_partition` — Fiedler-vector ordering chunked the same
   way (classic spectral linear arrangement);
 * :func:`fm_partition` — Fiduccia-Mattheyses-style pass-based
-  refinement of a seed partition under the paper's integer cost.
+  refinement of a seed partition under the paper's integer cost;
+* :func:`partition_lbfgs` — the paper's relaxed cost minimized with
+  L-BFGS-B instead of Algorithm 1's gradient descent.
 
 All baselines return :class:`~repro.core.partitioner.PartitionResult`,
 so every metric and bench runs on them unchanged.
@@ -24,6 +26,7 @@ from repro.baselines.fm import fm_partition
 from repro.baselines.annealing import annealing_partition
 from repro.baselines.exact import exact_partition
 from repro.baselines.multilevel import multilevel_partition
+from repro.baselines.lbfgs import minimize_assignment_lbfgs, partition_lbfgs
 
 __all__ = [
     "random_partition",
@@ -35,4 +38,6 @@ __all__ = [
     "annealing_partition",
     "exact_partition",
     "multilevel_partition",
+    "minimize_assignment_lbfgs",
+    "partition_lbfgs",
 ]

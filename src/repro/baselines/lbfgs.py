@@ -8,22 +8,26 @@ approximates curvature from gradient history at first-order cost — and
 SciPy's ``L-BFGS-B`` natively handles the box constraint
 ``w[i,k] in [0, 1]`` that Algorithm 1 enforces by clipping.
 
-:func:`minimize_assignment_lbfgs` mirrors the interface of
-:func:`repro.core.optimizer.minimize_assignment` so the partitioner and
-the ablation bench can swap solvers.  The ``exact`` gradient flavor is
-forced: a quasi-Newton line search needs the gradient to actually be
+:func:`minimize_assignment_lbfgs` returns the same
+:class:`~repro.core.optimizer.GradientDescentTrace` as the paper's
+solver, and :func:`partition_lbfgs` wraps it in the same restart,
+rounding and repair steps as :func:`repro.core.partitioner.partition`,
+so the ablation bench can swap solvers.  The ``exact`` gradient flavor
+is forced: a quasi-Newton line search needs the gradient to actually be
 the derivative of the objective, which eq. (10)'s printed F4 gradient
 is not (see DESIGN.md).
 """
 
 import numpy as np
 
-from repro.core.assignment import random_assignment
-from repro.core.cost import cost_terms
-from repro.core.gradients import cost_gradient
+from repro.core.assignment import random_assignment, round_assignment
+from repro.core.config import PartitionConfig
+from repro.core.cost import integer_cost
+from repro.core.kernel import FusedKernel
 from repro.core.optimizer import GradientDescentTrace
+from repro.core.partitioner import PartitionResult, _repair_empty_planes
 from repro.utils.errors import PartitionError
-from repro.utils.rng import make_rng
+from repro.utils.rng import make_rng, spawn_rngs
 
 
 def minimize_assignment_lbfgs(num_planes, edges, bias, area, config, rng=None, w0=None):
@@ -43,6 +47,7 @@ def minimize_assignment_lbfgs(num_planes, edges, bias, area, config, rng=None, w
             f"cannot split {num_gates} gates into {num_planes} planes"
         )
     exact_config = config.with_(gradient_mode="exact")
+    kernel = FusedKernel(num_planes, edges, bias, area)
 
     if w0 is None:
         w0 = random_assignment(num_gates, num_planes, rng=make_rng(rng))
@@ -54,17 +59,18 @@ def minimize_assignment_lbfgs(num_planes, edges, bias, area, config, rng=None, w
     shape = (num_gates, num_planes)
     trace = GradientDescentTrace(w=w0)
 
+    def terms_at(flat):
+        terms, _ = kernel.cost_and_gradient(
+            flat.reshape(shape), exact_config, want_gradient=False
+        )
+        return terms.term(0)
+
     def objective(flat):
-        w = flat.reshape(shape)
-        terms = cost_terms(w, edges, bias, area, exact_config)
-        gradient = cost_gradient(w, edges, bias, area, exact_config)
-        return terms.total, gradient.ravel()
+        terms, gradient = kernel.cost_and_gradient(flat.reshape(shape), exact_config)
+        return float(terms.total[0]), gradient[0].ravel()
 
     def record(flat):
-        w = flat.reshape(shape)
-        trace.cost_history.append(
-            cost_terms(w, edges, bias, area, exact_config).total
-        )
+        trace.cost_history.append(terms_at(flat).total)
 
     record(w0.ravel())
     outcome = minimize(
@@ -84,7 +90,7 @@ def minimize_assignment_lbfgs(num_planes, edges, bias, area, config, rng=None, w
     trace.w = outcome.x.reshape(shape)
     trace.converged = bool(outcome.success)
     trace.iterations = int(outcome.nit)
-    trace.final_terms = cost_terms(trace.w, edges, bias, area, exact_config)
+    trace.final_terms = terms_at(outcome.x)
     if not trace.cost_history or trace.cost_history[-1] != trace.final_terms.total:
         trace.cost_history.append(trace.final_terms.total)
     return trace
@@ -93,12 +99,6 @@ def minimize_assignment_lbfgs(num_planes, edges, bias, area, config, rng=None, w
 def partition_lbfgs(netlist, num_planes, config=None, seed=None):
     """Partition with the L-BFGS-B solver (same restart/rounding wrapper
     as :func:`repro.core.partitioner.partition`)."""
-    from repro.core.assignment import round_assignment
-    from repro.core.config import PartitionConfig
-    from repro.core.cost import integer_cost
-    from repro.core.partitioner import PartitionResult, _repair_empty_planes
-    from repro.utils.rng import spawn_rngs
-
     if config is None:
         config = PartitionConfig()
     if num_planes == 1:

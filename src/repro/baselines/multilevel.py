@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.assignment import round_assignment
 from repro.core.coarsening import coarsen_problem
 from repro.core.config import PartitionConfig
-from repro.core.optimizer import minimize_assignment
+from repro.core.optimizer import minimize_assignment_batch
 from repro.core.partitioner import PartitionResult, _repair_empty_planes
 from repro.core.refinement import _IncrementalCost, greedy_improve
 from repro.obs import OBS
@@ -81,9 +81,9 @@ def multilevel_partition(netlist, num_planes, seed=None, config=None, coarsest_n
     # expand weighted edges to repeated rows so F1 keeps multiplicity
     repeated = np.repeat(coarse_edges, coarse_weights.astype(int), axis=0) if coarse_edges.size else coarse_edges
     with OBS.trace.span("multilevel_initial", nodes=int(coarse_bias.shape[0])):
-        trace = minimize_assignment(
-            num_planes, repeated, coarse_bias, coarse_area, config, rng=rng
-        )
+        trace = minimize_assignment_batch(
+            num_planes, repeated, coarse_bias, coarse_area, config, rngs=[rng]
+        )[0]
         labels = round_assignment(trace.w)
 
     # ---- uncoarsen + refine -----------------------------------------

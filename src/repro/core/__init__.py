@@ -9,13 +9,6 @@ Public entry points:
   (Table III experiment).
 """
 
-from repro.core.backend import (
-    ArrayBackend,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 from repro.core.config import PartitionConfig
 from repro.core.assignment import (
     random_assignment,
@@ -37,20 +30,13 @@ from repro.core.kernel import (
 from repro.core.megabatch import SolveSpec, partition_packed
 from repro.core.optimizer import (
     GradientDescentTrace,
-    minimize_assignment,
     minimize_assignment_batch,
 )
 from repro.core.partitioner import PartitionResult, finalize_traces, partition
 from repro.core.planner import BiasLimitedPlan, plan_bias_limited
 from repro.core.refinement import refine_greedy
-from repro.core.scipy_optimizer import minimize_assignment_lbfgs, partition_lbfgs
 
 __all__ = [
-    "ArrayBackend",
-    "NumpyBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     "PartitionConfig",
     "random_assignment",
     "normalize_rows",
@@ -71,7 +57,6 @@ __all__ = [
     "SolveSpec",
     "partition_packed",
     "GradientDescentTrace",
-    "minimize_assignment",
     "minimize_assignment_batch",
     "PartitionResult",
     "partition",
@@ -79,6 +64,4 @@ __all__ = [
     "BiasLimitedPlan",
     "plan_bias_limited",
     "refine_greedy",
-    "minimize_assignment_lbfgs",
-    "partition_lbfgs",
 ]

@@ -15,9 +15,9 @@ from repro.utils.errors import PartitionError
 #: Gradient flavors, see :mod:`repro.core.gradients`.
 GRADIENT_MODES = ("paper", "exact")
 
-#: Solver engines, see :mod:`repro.core.optimizer` (``batched``/``loop``)
-#: and :mod:`repro.core.multilevel` (``multilevel``).
-ENGINES = ("batched", "loop", "multilevel")
+#: Solver engines, see :mod:`repro.core.optimizer` (``batched``) and
+#: :mod:`repro.core.multilevel` (``multilevel``).
+ENGINES = ("batched", "multilevel")
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,22 @@ class PartitionConfig:
         serial bias chain well-defined).
     engine:
         Solver engine used by :func:`~repro.core.partitioner.partition`.
-        ``"batched"`` (default) runs all restarts in lockstep through
-        the fused ``(R, G, K)`` cost/gradient kernel with per-restart
-        convergence masking; ``"loop"`` runs them serially through the
-        legacy two-pass reference solver.  Both produce bit-identical
-        rounded labels for the same seed (see
-        :mod:`repro.core.kernel`).  ``"multilevel"`` accelerates large
-        circuits by heavy-edge coarsening, solving the coarse problem
-        with the batched kernel and warm-starting the standard fine
-        descent from the interpolated solution
-        (:mod:`repro.core.multilevel`); its final refinement is the
-        paper's descent with a short iteration budget
-        (``multilevel_fine_iterations``) and a capacity-aware rounding,
-        so its labels are not bit-identical to the cold-start engines.
+        ``"batched"`` (default) is Algorithm 1: all restarts descend in
+        lockstep through the fused ``(R, G, K)`` cost/gradient kernel
+        with per-restart convergence masking.  ``"multilevel"``
+        solves a heavy-edge-coarsened problem with the same descent and
+        warm-starts the fine descent from the interpolated solution
+        (:mod:`repro.core.multilevel`); its final refinement has a short
+        iteration budget (``multilevel_fine_iterations``) and a
+        capacity-aware rounding, so its labels differ from
+        ``"batched"``.  ``"batched"`` stays the default on the measured
+        data: in ``benchmarks/perf/BENCH_suite.json`` multilevel takes
+        0.7519 s on MULT8 (K=5) against 0.1576 s batched, because its
+        coarse solve runs 2243 iterations; the ledger
+        (``benchmarks/ledger/README.md``) finds a multilevel solve
+        costs 0.05 s on one seed and 0.7 s on the next, so its speed is
+        not predictable either.  And the paper's Tables I-III must stay
+        Algorithm 1, which only ``"batched"`` runs.
     multilevel_coarsest_nodes:
         Coarsening floor for ``engine="multilevel"``; 0 (default) means
         the automatic ``max(40, 6 K)``.

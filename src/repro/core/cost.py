@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.assignment import labels_from_assignment
+from repro.core.assignment import labels_from_assignment, one_hot
 from repro.utils.errors import PartitionError
 
 
@@ -120,18 +120,18 @@ def constraint_cost(w):
 def cost_terms(w, edges, bias, area, config):
     """Evaluate all four terms and the weighted total (eq. (8)).
 
-    Delegates to :class:`repro.core.kernel.FusedKernel` with a
-    single-restart batch, so the sequential ("loop") solver engine runs
-    bitwise the same arithmetic as the batched engine — the per-term
-    functions above stay as the readable reference implementations
-    (equal to the kernel within floating-point reassociation).
+    The weighted sum of the per-term functions above: the readable
+    reference the solver's fused kernel
+    (:class:`repro.core.kernel.FusedKernel`) is tested against.  The
+    two agree up to floating-point reassociation.
     """
-    from repro.core.kernel import FusedKernel  # local import to avoid cycle
-
     w, edges, bias, area = _check_inputs(w, edges, bias, area)
-    kernel = FusedKernel(w.shape[1], edges, bias, area)
-    terms, _ = kernel.cost_and_gradient(w, config, want_gradient=False)
-    return terms.term(0)
+    f1 = interconnection_cost(w, edges)
+    f2 = bias_cost(w, bias)
+    f3 = area_cost(w, area)
+    f4 = constraint_cost(w)
+    total = config.c1 * f1 + config.c2 * f2 + config.c3 * f3 + config.c4 * f4
+    return CostTerms(f1=f1, f2=f2, f3=f3, f4=f4, total=float(total))
 
 
 def total_cost(w, edges, bias, area, config):
@@ -142,11 +142,12 @@ def total_cost(w, edges, bias, area, config):
 def integer_cost(labels, num_planes, edges, bias, area, config):
     """Cost of a *hard* assignment: ``c1 F1 + c2 F2 + c3 F3`` on one-hot rows.
 
-    F4 vanishes on any feasible integer assignment, so it is excluded;
-    this is the score used to compare restarts and baselines.
+    F4 is excluded because it takes the same value on every feasible
+    integer assignment: a one-hot row has row sum 1 and row variance
+    ``(K-1)/K^2``, so ``F4 = -G (K-1)/K^2 / N4 = -1/(K^2 (K-1))`` for
+    any labels and cannot rank them.  This is the score used to compare
+    restarts and baselines.
     """
-    from repro.core.assignment import one_hot  # local import to avoid cycle at module load
-
     w = one_hot(labels, num_planes)
     w, edges, bias, area = _check_inputs(w, edges, bias, area)
     return float(

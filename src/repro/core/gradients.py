@@ -16,7 +16,7 @@ All functions are fully vectorized over the ``(G, K)`` assignment matrix.
 import numpy as np
 
 from repro.core.assignment import labels_from_assignment, plane_coefficients
-from repro.utils.errors import PartitionError
+from repro.core.cost import _check_inputs
 
 
 def grad_interconnection(w, edges):
@@ -30,8 +30,6 @@ def grad_interconnection(w, edges):
     which is exactly the paper's split into outgoing-minus-incoming
     signed cubes.
     """
-    from repro.core.kernel import EdgeIncidence  # local import to avoid cycle
-
     w = np.asarray(w, dtype=float)
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     num_gates, num_planes = w.shape
@@ -41,10 +39,9 @@ def grad_interconnection(w, edges):
     labels = labels_from_assignment(w)
     diff = labels[edges[:, 0]] - labels[edges[:, 1]]
     diff_cubed = diff * diff * diff
-    # Same CSR-style segment-sum (and summation order) the fused kernel
-    # precomputes; built on the fly here because this standalone entry
-    # point has no state to cache it in.
-    per_gate = EdgeIncidence(edges, num_gates).scatter_signed(diff_cubed)
+    per_gate = np.zeros(num_gates)
+    np.add.at(per_gate, edges[:, 0], diff_cubed)
+    np.add.at(per_gate, edges[:, 1], -diff_cubed)
     n1 = edges.shape[0] * (num_planes - 1) ** 4
     coeff = plane_coefficients(num_planes)
     return (4.0 / n1) * per_gate[:, None] * coeff[None, :]
@@ -112,18 +109,20 @@ def grad_constraint_exact(w):
 def cost_gradient(w, edges, bias, area, config):
     """Weighted total gradient ``sum_j c_j dFj/dw`` (Algorithm 1, line 18).
 
-    Delegates to :class:`repro.core.kernel.FusedKernel` with a
-    single-restart batch, so the sequential ("loop") solver engine runs
-    bitwise the same arithmetic as the batched engine — the per-term
-    ``grad_*`` functions above stay as the readable reference
-    implementations (equal to the kernel within floating-point
-    reassociation).
+    The weighted sum of the per-term ``grad_*`` functions above, with
+    the F4 flavor picked by ``config.gradient_mode``: the readable
+    reference the solver's fused kernel
+    (:class:`repro.core.kernel.FusedKernel`) is tested against.  The
+    two agree up to floating-point reassociation.
     """
-    from repro.core.kernel import FusedKernel  # local import to avoid cycle
-
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2:
-        raise PartitionError(f"w must be (G, K), got shape {w.shape}")
-    kernel = FusedKernel(w.shape[1], edges, bias, area)
-    _, gradient = kernel.cost_and_gradient(w, config)
-    return gradient[0]
+    w, edges, bias, area = _check_inputs(w, edges, bias, area)
+    if config.gradient_mode == "paper":
+        grad_constraint = grad_constraint_paper
+    else:
+        grad_constraint = grad_constraint_exact
+    return (
+        config.c1 * grad_interconnection(w, edges)
+        + config.c2 * grad_bias(w, bias)
+        + config.c3 * grad_area(w, area)
+        + config.c4 * grad_constraint(w)
+    )

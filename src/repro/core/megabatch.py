@@ -92,7 +92,7 @@ def _resolve_pinned(netlist, num_planes, pinned):
     return pinned_index
 
 
-def partition_packed(specs, backend=None):
+def partition_packed(specs):
     """Solve a compatible group of :class:`SolveSpec` jobs as one batch.
 
     Returns one :class:`~repro.core.partitioner.PartitionResult` per
@@ -178,7 +178,6 @@ def partition_packed(specs, backend=None):
             rngs=streams,
             pinned=pinned_index,
             restart_tags=tags,
-            backend=backend,
         )
 
     # Unpack: each job finalizes its own trace slice through the same

@@ -24,7 +24,7 @@ rather than a replacement for the paper's algorithm:
    changing the rounded labels, so an uncapped warm-started descent
    actually runs *longer* than a cold one.  A short budget keeps the
    interpolated structure (d<=1 typically 0.9+ vs 0.6 cold) and cuts
-   fine-level work well below the cold-start engines.
+   fine-level work well below a cold-start batched solve.
 
 The interpolated rows are constant within each supernode, so plain
 argmax rounding would commit whole clusters to one plane and wreck the
@@ -64,15 +64,14 @@ def default_coarsest_nodes(num_planes):
 
 def minimize_assignment_multilevel(
     num_planes, edges, bias, area, config, rngs=None, pinned=None, restarts=None,
-    coarsen_rng=None, backend=None,
+    coarsen_rng=None,
 ):
     """Run warm-started coarse-to-fine solves for all restarts.
 
-    Parameters match :func:`repro.core.optimizer.minimize_assignment_batch`
-    (``backend`` selects the array backend for every level's solve);
+    Parameters match :func:`repro.core.optimizer.minimize_assignment_batch`;
     ``coarsen_rng`` seeds the heavy-edge matching order (one extra
     deterministic stream so restart initializations stay identical to
-    the other engines' for the same seed).
+    ``engine="batched"``'s for the same seed).
 
     Returns a list of :class:`~repro.core.optimizer.GradientDescentTrace`
     (one per restart) whose ``w``/``iterations``/``converged`` describe
@@ -95,7 +94,6 @@ def minimize_assignment_multilevel(
         # uncapped batched solve instead.
         return minimize_assignment_batch(
             num_planes, edges, bias_arr, area, config, rngs=rngs, pinned=pinned,
-            backend=backend,
         )
     with OBS.trace.span("multilevel_coarsen", gates=num_gates) as span:
         levels, maps = coarsen_problem(
@@ -115,7 +113,6 @@ def minimize_assignment_multilevel(
         # the plain batched engine.
         return minimize_assignment_batch(
             num_planes, edges, bias_arr, area, config, rngs=rngs, pinned=pinned,
-            backend=backend,
         )
 
     composed = compose_maps(maps)
@@ -131,7 +128,6 @@ def minimize_assignment_multilevel(
             config,
             rngs=rngs,
             pinned=coarse_pinned,
-            backend=backend,
         )
 
     # Prolongation: every fine gate takes its supernode's relaxed row.
@@ -157,7 +153,6 @@ def minimize_assignment_multilevel(
     with OBS.trace.span("multilevel_fine_solve", gates=num_gates):
         traces = minimize_assignment_batch(
             num_planes, edges, bias_arr, area, fine_config, w0=stack, pinned=pinned,
-            backend=backend,
         )
 
     if OBS.enabled:

@@ -16,23 +16,14 @@ an iteration safety cap, an explicit learning rate (the paper folds it
 into ``c1..c4``), an optional row re-normalization projection, and a
 recorded cost trace for the convergence figure.
 
-Two solver engines implement the same loop:
-
-* :func:`minimize_assignment` — the legacy per-restart reference: one
-  descent per call, cost and gradient evaluated as two separate passes
-  through :func:`repro.core.cost.cost_terms` /
-  :func:`repro.core.gradients.cost_gradient`, each re-validating the
-  problem and rebuilding kernel state per call.
-* :func:`minimize_assignment_batch` — the production engine: all ``R``
-  restarts advance in lockstep on an ``(R, G, K)`` stack through the
-  fused one-pass :class:`~repro.core.kernel.FusedKernel`, with
-  per-restart convergence masking (a restart that satisfies the margin
-  criterion freezes — its ``w``, history and final terms stop changing —
-  while the remaining restarts keep iterating on a compacted stack).
-
-Both engines perform bitwise-identical float arithmetic per restart
-(see the equivalence contract in :mod:`repro.core.kernel`), so for the
-same seeds they yield the same traces and the same rounded labels.
+All restarts advance in lockstep on an ``(R, G, K)`` stack through the
+fused one-pass :class:`~repro.core.kernel.FusedKernel`, with per-restart
+convergence masking: a restart that satisfies the margin criterion
+freezes — its ``w``, history and final terms stop changing — while the
+remaining restarts keep iterating on a compacted stack.  Every restart
+performs bitwise the same float arithmetic it would perform alone (see
+the equivalence contract in :mod:`repro.core.kernel`), so a batch of
+``R`` restarts yields exactly the traces of ``R`` single-restart solves.
 """
 
 from dataclasses import dataclass, field
@@ -40,8 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.assignment import normalize_rows, random_assignment
-from repro.core.cost import cost_terms
-from repro.core.gradients import cost_gradient
 from repro.core.kernel import FusedKernel
 from repro.obs import OBS
 from repro.utils.errors import PartitionError
@@ -139,109 +128,6 @@ def _clamp_pinned(w, pinned):
     return w
 
 
-def minimize_assignment(num_planes, edges, bias, area, config, rng=None, w0=None, pinned=None):
-    """Run Algorithm 1 once and return a :class:`GradientDescentTrace`.
-
-    This is the legacy ``engine="loop"`` reference implementation; the
-    batched engine (:func:`minimize_assignment_batch`) produces
-    bit-identical results for the same initialization.
-
-    Parameters
-    ----------
-    num_planes:
-        K, the number of ground planes.
-    edges:
-        ``(|E|, 2)`` connection array (gate indices).
-    bias, area:
-        Per-gate ``b_i`` (mA) and ``a_i`` vectors, shape ``(G,)``.
-    config:
-        :class:`~repro.core.config.PartitionConfig`.
-    rng:
-        Seed or generator for the random initialization.
-    w0:
-        Optional explicit initial matrix (overrides the random init;
-        used by tests and by warm-started refinement).
-    pinned:
-        Optional ``{gate index: plane}`` hard constraints (extension):
-        those rows are held one-hot throughout the descent.  Physically
-        motivated by I/O: pads share the common perimeter ground, so
-        gates wired to I/O must sit on a plane the designer chooses.
-    """
-    bias, pinned = _validate_problem(num_planes, bias, pinned)
-    num_gates = bias.shape[0]
-
-    if w0 is None:
-        w = random_assignment(num_gates, num_planes, rng=make_rng(rng))
-    else:
-        w = np.array(w0, dtype=float)
-        if w.shape != (num_gates, num_planes):
-            raise PartitionError(f"w0 must have shape ({num_gates}, {num_planes}), got {w.shape}")
-
-    w = _clamp_pinned(w, pinned)
-
-    obs = OBS if OBS.enabled else None
-    if obs is not None:
-        run = obs.telemetry.begin_run("loop", 1)
-
-    trace = GradientDescentTrace(w=w, telemetry=[] if obs is not None else None)
-    cost_old = np.inf
-    with OBS.trace.span("descent", engine="loop"):
-        for _ in range(config.max_iterations):
-            terms = cost_terms(w, edges, bias, area, config)
-            cost_new = terms.total
-            if not np.isfinite(cost_new):
-                # A poisoned trajectory (non-finite input, blown-up step)
-                # can never satisfy the margin criterion; stop instead of
-                # spinning to the iteration cap on garbage.
-                trace.quarantined = True
-                if obs is not None:
-                    obs.metrics.counter("solver.nonfinite_detected").inc()
-                    obs.metrics.counter("solver.restarts_quarantined").inc()
-                break
-            trace.cost_history.append(cost_new)
-            # final_terms always mirrors the last loop evaluation, so no
-            # post-loop recomputation is ever needed (max_iterations >= 1 is
-            # enforced by the config, so at least one evaluation happens).
-            trace.final_terms = terms
-            finite_old = np.isfinite(cost_old) and cost_old != 0.0
-            rel_change = abs(cost_new / cost_old - 1.0) if finite_old else None
-            # Algorithm 1 line 14. cost_old is inf on the first pass, so the
-            # ratio is 0 and the loop never stops before taking one step.
-            stopping = (finite_old and rel_change <= config.margin) or (
-                cost_old == 0.0 and cost_new == 0.0
-            )
-            if stopping:
-                trace.converged = True
-                if obs is not None:
-                    trace.telemetry.append(
-                        obs.telemetry.record(
-                            run, 0, trace.iterations, terms.f1, terms.f2, terms.f3,
-                            terms.f4, cost_new, rel_change, None, 1,
-                        )
-                    )
-                break
-            gradient = cost_gradient(w, edges, bias, area, config)
-            if obs is not None:
-                trace.telemetry.append(
-                    obs.telemetry.record(
-                        run, 0, trace.iterations, terms.f1, terms.f2, terms.f3,
-                        terms.f4, cost_new, rel_change,
-                        float(np.sqrt(np.sum(gradient * gradient))), 1,
-                    )
-                )
-            step = config.learning_rate * gradient
-            w = np.clip(w - step, 0.0, 1.0)
-            if config.renormalize_rows:
-                w = normalize_rows(w)
-            if pinned:
-                w = _clamp_pinned(w, pinned)
-            trace.iterations += 1
-            cost_old = cost_new
-
-    trace.w = w
-    return trace
-
-
 def minimize_assignment_batch(
     num_planes,
     edges,
@@ -253,9 +139,8 @@ def minimize_assignment_batch(
     pinned=None,
     restarts=None,
     restart_tags=None,
-    backend=None,
 ):
-    """Run Algorithm 1 from several restarts in lockstep (``engine="batched"``).
+    """Run Algorithm 1 from several restarts in lockstep.
 
     All restarts advance together as one ``(R, G, K)`` tensor through
     the fused cost/gradient kernel: labels, edge differences, per-plane
@@ -270,8 +155,14 @@ def minimize_assignment_batch(
 
     Parameters
     ----------
-    num_planes, edges, bias, area, config:
-        As in :func:`minimize_assignment`.
+    num_planes:
+        K, the number of ground planes.
+    edges:
+        ``(|E|, 2)`` connection array (gate indices).
+    bias, area:
+        Per-gate ``b_i`` (mA) and ``a_i`` vectors, shape ``(G,)``.
+    config:
+        :class:`~repro.core.config.PartitionConfig`.
     rngs:
         Per-restart seeds/generators (a sequence — its length defines
         ``R``), or a single seed/generator from which ``restarts``
@@ -281,8 +172,11 @@ def minimize_assignment_batch(
         Optional explicit initial stack ``(R, G, K)``; a single
         ``(G, K)`` matrix is broadcast to all restarts.
     pinned:
-        Hard ``{gate index: plane}`` constraints applied to every
-        restart.
+        Optional ``{gate index: plane}`` hard constraints (extension)
+        applied to every restart: those rows are held one-hot
+        throughout the descent.  Physically motivated by I/O: pads
+        share the common perimeter ground, so gates wired to I/O must
+        sit on a plane the designer chooses.
     restarts:
         Batch size when ``rngs`` is not a sequence; defaults to
         ``config.restarts``.
@@ -292,19 +186,16 @@ def minimize_assignment_batch(
         The mega-batch packer passes each job's *local* restart indices
         here so a packed restart reseeds from exactly the stream its
         solo solve would use.
-    backend:
-        Array backend (instance or registered name) executing the
-        descent; ``None`` consults ``REPRO_BACKEND`` (default numpy).
 
     Returns
     -------
     list of :class:`GradientDescentTrace`, one per restart, each
-    bit-identical to what :func:`minimize_assignment` returns for the
-    same initialization.
+    bit-identical to what a single-restart call returns for the same
+    initialization and tag.
     """
     bias, pinned = _validate_problem(num_planes, bias, pinned)
     num_gates = bias.shape[0]
-    kernel = FusedKernel(num_planes, edges, bias, area, backend=backend)
+    kernel = FusedKernel(num_planes, edges, bias, area)
 
     if w0 is not None:
         w0 = np.array(w0, dtype=float)
@@ -327,9 +218,7 @@ def minimize_assignment_batch(
         )
 
     num_restarts = stack.shape[0]
-    stack = _clamp_pinned(
-        kernel.backend.ascontiguousarray(kernel.backend.from_host(stack)), pinned
-    )
+    stack = _clamp_pinned(np.ascontiguousarray(stack), pinned)
     if restart_tags is None:
         tags = np.arange(num_restarts)
     else:
@@ -365,7 +254,7 @@ def minimize_assignment_batch(
         )
 
     for r in range(num_restarts):
-        traces[r].w = np.ascontiguousarray(kernel.backend.to_host(final_w[r]))
+        traces[r].w = np.ascontiguousarray(final_w[r])
         if last_eval[r] is not None:
             # A quarantined restart that never produced a finite
             # evaluation has no terms to materialize.
@@ -407,13 +296,11 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
     that quarantined: frozen with ``converged=False`` on a uniform
     assignment, while the healthy restarts keep descending untouched.
     On a fully finite problem none of this triggers and the arithmetic
-    is bitwise identical to the sequential engine.
+    is bitwise identical to the same restarts solved one at a time.
     """
-    backend = kernel.backend
-    xp = backend.xp
     num_restarts = len(traces)
     num_gates, num_planes = live.shape[1], live.shape[2]
-    first_cost = xp.full(num_restarts, np.nan)
+    first_cost = np.full(num_restarts, np.nan)
 
     for _ in range(config.max_iterations):
         if active.size == 0:
@@ -427,11 +314,11 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
         # next evaluation, so the cost check covers both one iteration
         # late at worst (the cap-exit path below catches the final
         # iteration's stragglers).
-        cost_bad = ~xp.isfinite(cost_new)
+        cost_bad = ~np.isfinite(cost_new)
         baseline = first_cost[active]
         diverged = (
             ~cost_bad
-            & xp.isfinite(baseline)
+            & np.isfinite(baseline)
             & (baseline > 0.0)
             & (cost_new > baseline * DIVERGENCE_FACTOR)
         )
@@ -465,7 +352,7 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
                 # reseeded restart takes its first real step next
                 # iteration, from cost_old = inf like any fresh start.
                 gradient[j] = 0.0
-            cost_new = xp.where(bad, np.inf, cost_new)
+            cost_new = np.where(bad, np.inf, cost_new)
 
         good = ~bad
         for j, r in enumerate(active):
@@ -479,9 +366,9 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
         # each restart's first pass, so nothing stops before one step;
         # poisoned rows carry cost_new = inf, so they never stop here).
         old = cost_old[active]
-        finite = xp.isfinite(old) & (old != 0.0)
-        ratio = xp.abs(
-            xp.where(finite, cost_new, 0.0) / xp.where(finite, old, 1.0) - 1.0
+        finite = np.isfinite(old) & (old != 0.0)
+        ratio = np.abs(
+            np.where(finite, cost_new, 0.0) / np.where(finite, old, 1.0) - 1.0
         )
         stop = (finite & (ratio <= config.margin)) | ((old == 0.0) & (cost_new == 0.0))
 
@@ -489,11 +376,10 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
             # Read-only pass over this iteration's evaluation, taken
             # before the in-place descent step reuses the gradient
             # buffer.  A restart stopping this iteration never computes
-            # a step, so (matching the loop engine) its grad_norm is
-            # recorded as None.  Poisoned rows are skipped — their term
+            # a step, so its grad_norm is recorded as None.  Poisoned rows are skipped — their term
             # values are non-finite and the restart restarts from
             # scratch anyway.
-            grad_norms = xp.sqrt(backend.einsum("rgk,rgk->r", gradient, gradient))
+            grad_norms = np.sqrt(np.einsum("rgk,rgk->r", gradient, gradient))
             alive = int(active.size)
             for j, r in enumerate(active):
                 if bad[j]:
@@ -517,7 +403,7 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
             active = active[keep]
             if active.size == 0:
                 break
-            live = backend.ascontiguousarray(live[keep])
+            live = np.ascontiguousarray(live[keep])
             gradient = gradient[keep]
             cost_new = cost_new[keep]
             bad = bad[keep]
@@ -529,7 +415,7 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
         # leaves their fresh initialization untouched.
         gradient *= -config.learning_rate
         gradient += live
-        live = backend.clip(gradient, 0.0, 1.0, out=gradient)
+        live = np.clip(gradient, 0.0, 1.0, out=gradient)
         if config.renormalize_rows:
             live = normalize_rows(live)
         if pinned:
@@ -539,13 +425,13 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
                 traces[r].iterations += 1
         cost_old[active] = cost_new
 
-    # Restarts stopped by the iteration cap keep their last stepped w,
-    # exactly like the sequential loop.  A gradient that went non-finite
+    # Restarts stopped by the iteration cap keep their last stepped w.
+    # A gradient that went non-finite
     # on the very last iteration leaves w poisoned with no further cost
     # evaluation to flag it, so quarantine those rows here.
     for j, r in enumerate(active):
         r = int(r)
-        if xp.isfinite(live[j]).all():
+        if np.isfinite(live[j]).all():
             final_w[r] = live[j]
         else:
             traces[r].quarantined = True

@@ -13,7 +13,7 @@ import numpy as np
 from repro.core.assignment import round_assignment, round_assignment_balanced
 from repro.core.config import PartitionConfig
 from repro.core.cost import integer_cost
-from repro.core.optimizer import minimize_assignment, minimize_assignment_batch
+from repro.core.optimizer import minimize_assignment_batch
 from repro.netlist.graph import undirected_degrees
 from repro.obs import OBS
 from repro.utils.errors import PartitionError
@@ -143,12 +143,11 @@ def partition(netlist, num_planes, config=None, seed=None, pinned=None):
 
     Runs ``config.restarts`` independent gradient-descent solves
     (Algorithm 1) and keeps the rounded solution with the lowest integer
-    cost.  The solves run through the batched fused-kernel engine by
-    default, or serially when ``config.engine == "loop"``; both engines
-    yield bit-identical labels for the same seed.  ``config.engine ==
-    "multilevel"`` warm-starts the same descent from a coarsened solve
-    (faster on >1k-gate circuits, same validity guarantees, different
-    labels).  See :class:`~repro.core.config.PartitionConfig` for knobs.
+    cost.  The solves run in lockstep through the batched fused-kernel
+    engine by default; ``config.engine == "multilevel"`` warm-starts the
+    same descent from a coarsened solve (same validity guarantees,
+    different labels).  See :class:`~repro.core.config.PartitionConfig`
+    for knobs.
 
     Parameters
     ----------
@@ -210,11 +209,7 @@ def partition(netlist, num_planes, config=None, seed=None, pinned=None):
             OBS.metrics.counter("partition.restarts").inc(config.restarts)
 
         with OBS.trace.span("solve"):
-            if config.engine == "batched":
-                traces = minimize_assignment_batch(
-                    num_planes, edges, bias, area, config, rngs=streams, pinned=pinned_index
-                )
-            elif config.engine == "multilevel":
+            if config.engine == "multilevel":
                 from repro.core.multilevel import minimize_assignment_multilevel
 
                 traces = minimize_assignment_multilevel(
@@ -222,12 +217,9 @@ def partition(netlist, num_planes, config=None, seed=None, pinned=None):
                     pinned=pinned_index, coarsen_rng=rng,
                 )
             else:
-                traces = [
-                    minimize_assignment(
-                        num_planes, edges, bias, area, config, rng=stream, pinned=pinned_index
-                    )
-                    for stream in streams
-                ]
+                traces = minimize_assignment_batch(
+                    num_planes, edges, bias, area, config, rngs=streams, pinned=pinned_index
+                )
 
         return finalize_traces(
             netlist, num_planes, config, traces, pinned_index, edges, bias, area

@@ -37,7 +37,7 @@ import sys
 
 from repro import obs
 from repro.circuits.suite import PAPER_TABLE1, SUITE_NAMES, build_circuit
-from repro.core.config import PartitionConfig
+from repro.core.config import ENGINES, PartitionConfig
 from repro.harness import figures, tables
 from repro.harness.formatting import ascii_table, percent
 from repro.metrics.report import evaluate_partition
@@ -83,7 +83,7 @@ def _add_common(parser):
     parser.add_argument("--refine", action="store_true", help="greedy post-refinement")
     parser.add_argument(
         "--engine",
-        choices=("batched", "loop", "multilevel"),
+        choices=ENGINES,
         default="batched",
         help="gradient solver engine (multilevel = coarse-to-fine warm start)",
     )
@@ -813,7 +813,7 @@ def build_parser():
         "seed must be pinned)",
     )
     sweep_parser.add_argument(
-        "--engine", choices=("batched", "loop", "multilevel"), default="batched",
+        "--engine", choices=ENGINES, default="batched",
         help="gradient solver engine",
     )
     sweep_parser.add_argument(
@@ -841,7 +841,7 @@ def build_parser():
     eco_parser.add_argument("-k", "--planes", type=int, default=5, help="number of ground planes")
     eco_parser.add_argument("--seed", type=int, default=None, help="RNG seed")
     eco_parser.add_argument(
-        "--engine", choices=("batched", "loop", "multilevel"), default="batched",
+        "--engine", choices=ENGINES, default="batched",
         help="gradient solver engine for the cold solves",
     )
     eco_parser.add_argument(
@@ -1066,7 +1066,7 @@ def build_parser():
     report_parser.add_argument("-k", "--planes", type=int, default=5)
     report_parser.add_argument("--seed", type=int, default=None)
     report_parser.add_argument(
-        "--engine", choices=("batched", "loop", "multilevel"), default="batched",
+        "--engine", choices=ENGINES, default="batched",
         help="solver engine",
     )
     report_parser.add_argument(

@@ -14,8 +14,8 @@ solves, so checkpoints, caches and the service result store never see
 the difference.  Only jobs that the packer can prove compatible are
 grouped — ``kind="partition"``, the gradient method, the batched
 engine, the same circuit/planes/refine/pinned and the same config up to
-``restarts``/``seed``.  Everything else (plan jobs, the loop or
-multilevel engines, mixed configs) falls through to the normal per-job
+``restarts``/``seed``.  Everything else (plan jobs, the multilevel
+engine, mixed configs) falls through to the normal per-job
 path untouched.
 """
 

@@ -1,8 +1,7 @@
 """Solver telemetry: per-iteration records of Algorithm 1's descent.
 
-When observability is enabled, both solver engines
-(:func:`repro.core.optimizer.minimize_assignment` and
-:func:`~repro.core.optimizer.minimize_assignment_batch`) emit one
+When observability is enabled, the solver
+(:func:`repro.core.optimizer.minimize_assignment_batch`) emits one
 record per restart per iteration into the process-wide
 :class:`SolverTelemetry`, and attach each restart's records to its
 :class:`~repro.core.optimizer.GradientDescentTrace` (``trace.telemetry``).
@@ -10,9 +9,10 @@ record per restart per iteration into the process-wide
 A record is a plain dict with the fields of :data:`ITERATION_FIELDS`:
 
 ``run``
-    Monotonic id of the solver call within the process (one
-    ``partition()`` with the loop engine makes one run per restart; the
-    batched engine makes a single run for the whole stack).
+    Monotonic id of the solver call within the process: one run per
+    ``minimize_assignment_batch`` call, covering its whole restart
+    stack (a multilevel solve makes one for the coarse and one for the
+    fine descent).
 ``restart``
     Restart index within the run.
 ``iteration``
@@ -28,8 +28,7 @@ A record is a plain dict with the fields of :data:`ITERATION_FIELDS`:
     final evaluation of a converged restart (Algorithm 1 stops before
     computing it).
 ``active_restarts``
-    Restarts still descending when the record was taken (always 1 for
-    the loop engine).
+    Restarts still descending when the record was taken.
 
 The schema of the exported trace file is versioned by
 :data:`TRACE_SCHEMA_VERSION`; bump it whenever a field is added,
@@ -89,8 +88,8 @@ class SolverTelemetry:
         grad_norm,
         active_restarts,
     ):
-        """Append one iteration record; returns the dict (so solver
-        engines can also attach it to the restart's trace)."""
+        """Append one iteration record; returns the dict (so the solver
+        can also attach it to the restart's trace)."""
         entry = {
             "run": run,
             "restart": restart,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import assignment, cost
+from repro.core import assignment, cost, gradients
 from repro.core.config import PartitionConfig
 from repro.utils.errors import PartitionError
 
@@ -73,12 +73,16 @@ def test_f2_zero_bias_circuit():
     assert cost.bias_cost(w, np.zeros(2)) == 0.0
 
 
-def test_f4_zero_iff_feasible_onehot():
-    w = assignment.one_hot(np.array([0, 1, 2, 1]), 3)
-    # feasible one-hot rows: (K wbar - 1)^2 = 0 and variance is maximal;
-    # F4 is therefore *negative* (the relaxation rewards one-hot rows)
-    value = cost.constraint_cost(w)
-    assert value < 0.0
+@pytest.mark.parametrize("num_planes", range(2, 9))
+def test_f4_constant_on_feasible_onehot(num_planes):
+    # Feasible one-hot rows: (K wbar - 1)^2 = 0 and the row variance is
+    # (K-1)/K^2, so F4 = -G (K-1)/K^2 / N4 = -1/(K^2 (K-1)) whatever
+    # the labels (the relaxation rewards one-hot rows).
+    expected = -1.0 / (num_planes**2 * (num_planes - 1))
+    rng = np.random.default_rng(num_planes)
+    for labels in (np.zeros(7, dtype=int), rng.integers(0, num_planes, size=11)):
+        value = cost.constraint_cost(assignment.one_hot(labels, num_planes))
+        assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_f4_uniform_rows_cost_more_than_onehot():
@@ -135,9 +139,10 @@ def test_integer_cost_excludes_f4(config):
 
 def test_input_validation(config):
     w, edges, bias, area = _setup()
-    with pytest.raises(PartitionError, match="out of range"):
-        cost.cost_terms(w, np.array([[0, 99]]), bias, area, config)
-    with pytest.raises(PartitionError, match="shape"):
-        cost.cost_terms(w, edges, bias[:-1], area, config)
-    with pytest.raises(PartitionError, match="must be"):
-        cost.cost_terms(np.ones(5), edges, bias, area, config)
+    for evaluate in (cost.cost_terms, gradients.cost_gradient):
+        with pytest.raises(PartitionError, match="out of range"):
+            evaluate(w, np.array([[0, 99]]), bias, area, config)
+        with pytest.raises(PartitionError, match="shape"):
+            evaluate(w, edges, bias[:-1], area, config)
+        with pytest.raises(PartitionError, match="must be"):
+            evaluate(np.ones(5), edges, bias, area, config)

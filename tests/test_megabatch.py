@@ -134,7 +134,7 @@ def test_packed_rejects_wrong_engine_and_k(mixed_netlist):
         partition_packed(
             [SolveSpec(
                 netlist=mixed_netlist, num_planes=3,
-                config=FAST.with_(engine="loop"),
+                config=FAST.with_(engine="multilevel"),
             )]
         )
     with pytest.raises(PartitionError, match="num_planes"):
@@ -163,7 +163,7 @@ def test_job_pack_key_rejects_unpackable_jobs():
     assert job_pack_key(SuiteJob(kind="plan", circuit="KSA4")) is None
     assert job_pack_key(_job(method="spectral")) is None
     assert job_pack_key(_job(planes=1)) is None
-    assert job_pack_key(_job(config=FAST.with_(engine="loop"))) is None
+    assert job_pack_key(_job(config=FAST.with_(engine="multilevel"))) is None
 
 
 def test_job_pack_key_separates_distinct_problems():

@@ -308,7 +308,7 @@ def test_trace_jsonl_roundtrip():
 def test_trace_jsonl_roundtrip_via_file(tmp_path):
     path = str(tmp_path / "trace.jsonl")
     telemetry = SolverTelemetry()
-    run = telemetry.begin_run("loop", 1)
+    run = telemetry.begin_run("batched", 1)
     telemetry.record(run, 0, 0, 1, 2, 3, 4, 5, None, 6.0, 1)
     write_trace_jsonl(path, telemetry=telemetry)
     parsed = read_trace_jsonl(path)
@@ -379,7 +379,7 @@ def test_merge_snapshot_rebases_telemetry_runs():
     obs.enable()
 
     # The parent already holds one run; the worker's run 0 must not collide.
-    parent_run = OBS.telemetry.begin_run("loop", 1)
+    parent_run = OBS.telemetry.begin_run("batched", 1)
     assert parent_run == 0
     obs.merge_snapshot(snap)
     assert [run["run"] for run in OBS.telemetry.runs] == [0, 1]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.optimizer import minimize_assignment
+from repro.core.optimizer import minimize_assignment_batch
 from repro.core.partitioner import partition
 from repro.core.refinement import refine_greedy
 from repro.utils.errors import PartitionError
@@ -63,8 +63,8 @@ def test_optimizer_keeps_pinned_rows_onehot():
     from repro.core.config import PartitionConfig
 
     config = PartitionConfig(max_iterations=50, restarts=1)
-    trace = minimize_assignment(
-        3, edges, bias, area, config, rng=0, pinned={0: 2, 5: 1}
+    (trace,) = minimize_assignment_batch(
+        3, edges, bias, area, config, rngs=[0], pinned={0: 2, 5: 1}
     )
     assert np.allclose(trace.w[0], [0.0, 0.0, 1.0])
     assert np.allclose(trace.w[5], [0.0, 1.0, 0.0])
@@ -77,9 +77,9 @@ def test_optimizer_pinned_validation():
     from repro.core.config import PartitionConfig
 
     with pytest.raises(PartitionError, match="out of range"):
-        minimize_assignment(2, edges, bias, area, PartitionConfig(), pinned={9: 0})
+        minimize_assignment_batch(2, edges, bias, area, PartitionConfig(), pinned={9: 0})
     with pytest.raises(PartitionError, match="plane"):
-        minimize_assignment(2, edges, bias, area, PartitionConfig(), pinned={0: 5})
+        minimize_assignment_batch(2, edges, bias, area, PartitionConfig(), pinned={0: 5})
 
 
 def test_repair_never_moves_pinned(library, fast_config):

@@ -1,10 +1,10 @@
-"""Tests for repro.core.scipy_optimizer (L-BFGS-B extension)."""
+"""Tests for repro.baselines.lbfgs (L-BFGS-B extension)."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import PartitionConfig
-from repro.core.scipy_optimizer import minimize_assignment_lbfgs, partition_lbfgs
+from repro.baselines.lbfgs import minimize_assignment_lbfgs, partition_lbfgs
 from repro.utils.errors import PartitionError
 
 

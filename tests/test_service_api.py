@@ -58,8 +58,9 @@ def test_rejects_unknown_circuit_method_engine():
         validate_request(_req(circuit="NOPE"))
     with pytest.raises(BadRequestError, match="unknown method"):
         validate_request(_req(method="magic"))
-    with pytest.raises(BadRequestError, match="engine must be one of"):
-        validate_request(_req(engine="warp"))
+    for engine in ("warp", "loop"):
+        with pytest.raises(BadRequestError, match="engine must be one of"):
+            validate_request(_req(engine=engine))
 
 
 def test_seed_must_be_integer():
@@ -123,7 +124,7 @@ def test_request_key_is_stable_and_sensitive():
     assert key == request_key(validate_request(_req()))
     assert key != request_key(validate_request(_req(seed=6)))
     assert key != request_key(validate_request(_req(num_planes=4)))
-    assert key != request_key(validate_request(_req(engine="loop")))
+    assert key != request_key(validate_request(_req(engine="multilevel")))
     assert key != request_key(validate_request(_req(refine=True)))
 
 
@@ -150,10 +151,10 @@ def test_schema_versions_fields():
 
 def test_request_to_job_matches_cli_job():
     """The built job is field-for-field the one the CLI path builds."""
-    job = request_to_job(validate_request(_req(engine="loop", refine=True)))
+    job = request_to_job(validate_request(_req(engine="multilevel", refine=True)))
     cli_job = SuiteJob(
         kind="partition", circuit="KSA4", num_planes=3, method="gradient",
-        seed=5, config=PartitionConfig(engine="loop"), refine=True,
+        seed=5, config=PartitionConfig(engine="multilevel"), refine=True,
     )
     assert job == cli_job
 

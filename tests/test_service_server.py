@@ -163,6 +163,11 @@ def test_validation_errors_are_400(tmp_path):
             client.submit({"circuit": "KSA4", "num_planes": 3, "seed": "x"})
         assert excinfo.value.status == 400
         assert "seed" in str(excinfo.value)
+        with pytest.raises(ServiceHTTPError) as excinfo:
+            client.submit({"circuit": "KSA4", "num_planes": 3, "seed": 1,
+                           "engine": "loop"})
+        assert excinfo.value.status == 400
+        assert "engine must be one of" in str(excinfo.value)
 
 
 def test_unknown_routes_and_jobs_are_404(tmp_path):

@@ -21,7 +21,10 @@ user deploys), then proves the three service-level guarantees:
    and ``/metrics?format=prometheus`` output that passes
    ``lint_exposition``. The scraped exposition, the trace and the
    event log are written to ``service_smoke_artifacts/`` (override
-   with ``SMOKE_ARTIFACT_DIR``) for CI upload.
+   with ``SMOKE_ARTIFACT_DIR``) for CI upload.  A second,
+   inline-isolated ``--trace-requests`` server takes two requests
+   back to back; each must yield exactly one connected tree holding
+   its solver spans (concurrent traced solves stay apart).
 
 Usage::
 
@@ -159,6 +162,12 @@ def probe_chaos(cache_dir):
         check(client.health()["status"] == "ok", "server keeps serving after the fault")
 
 
+def tree_paths(node):
+    yield node["path"]
+    for child in node["children"]:
+        yield from tree_paths(child)
+
+
 def probe_observability(cache_dir, artifact_dir):
     import io
 
@@ -200,13 +209,8 @@ def probe_observability(cache_dir, artifact_dir):
     check(request_id in requests and len(requests[request_id]) == 1,
           "one POST produced one connected span tree on /v1/trace")
 
-    def paths(node):
-        yield node["path"]
-        for child in node["children"]:
-            yield from paths(child)
-
-    tree_paths = set(paths(requests[request_id][0]))
-    check(any(p.startswith("partition") for p in tree_paths),
+    paths = set(tree_paths(requests[request_id][0]))
+    check(any(p.startswith("partition") for p in paths),
           "worker-side solver spans re-parented into the request tree")
 
     with open(os.path.join(artifact_dir, "metrics.prom"), "w") as handle:
@@ -217,6 +221,26 @@ def probe_observability(cache_dir, artifact_dir):
         handle.write(render_waterfall(parsed, request=request_id))
     check(os.path.getsize(events_path) > 0,
           f"sample artifacts written to {artifact_dir}")
+
+    inline_env = {"REPRO_CACHE_DIR": cache_dir, "REPRO_CACHE": "0"}
+    with ServerProcess("--workers", "2", "--isolation", "inline",
+                       "--trace-requests", env=inline_env) as server:
+        client = ServiceClient(server.url, timeout=120.0)
+        jobs = [client.submit({"circuit": "KSA4", "num_planes": 3, "seed": seed})
+                for seed in (12, 13)]
+        for job in jobs:
+            client.wait(job["id"], timeout=300.0)
+        trace_text = client.trace_text()
+
+    requests, _ = span_trees(read_trace_jsonl(io.StringIO(trace_text))["spans"])
+    for job in jobs:
+        request_id = job["trace"]["request_id"]
+        roots = requests.get(request_id, [])
+        check(len(roots) == 1,
+              f"inline: request {request_id} produced one connected span tree")
+        check(any("partition" in path.split("/")
+                  for path in tree_paths(roots[0])),
+              f"inline: request {request_id}'s tree holds its solver spans")
 
 
 def main():

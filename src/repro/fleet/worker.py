@@ -26,6 +26,11 @@ Because rules carry the attempt number (``kill@0`` fires on attempt 1
 only) and the coordinator passes each lease's attempt, a retried job
 lands cleanly on any worker — fault-driven worker death converges to
 the same bitwise payloads as a clean single-node run.
+
+A lease that asks for deep tracing runs its solve in a
+:func:`repro.obs.capture` scope of its own, under the job's trace
+context, and the scope's snapshot rides back on the completion report —
+whether or not this node's own capture (``REPRO_TRACE``) is on.
 """
 
 import os
@@ -41,7 +46,7 @@ from repro.fleet.protocol import (
     resolve_poll,
     resolve_worker_id,
 )
-from repro.obs import OBS, TraceContext
+from repro.obs import TraceContext, capture
 from repro.utils.errors import ReproError
 
 
@@ -147,15 +152,6 @@ class FleetWorker:
             "ok": False, "kind": kind, "message": message,
         })
 
-    def _capture(self, lease):
-        """Worker-side deep-trace capture context, or ``None``."""
-        if not lease.get("tracing") or not lease.get("trace"):
-            return None
-        ctx = TraceContext.from_wire(lease["trace"])
-        if ctx is None or OBS.enabled:
-            return None
-        return ctx
-
     def _execute_lease(self, lease):
         """Run one leased job and report the outcome."""
         index = self._job_index
@@ -165,21 +161,20 @@ class FleetWorker:
             return
         try:
             suite_job = job_from_wire(lease["job"])
-            ctx = self._capture(lease)
+            ctx = None
+            if lease.get("tracing") and lease.get("trace"):
+                ctx = TraceContext.from_wire(lease["trace"])
             snapshot = None
-            if ctx is not None:
-                OBS.reset()
-                OBS.enable()
-                OBS.trace.context = ctx
-                try:
-                    payloads = run_jobs([suite_job], jobs=1)
-                    snapshot = OBS.snapshot(
-                        origin=f"fleet/{self.worker_id}/{lease['lease']}"
-                    )
-                finally:
-                    OBS.disable(reset=True)
-            else:
+            if ctx is None:
                 payloads = run_jobs([suite_job], jobs=1)
+            else:
+                # Deep tracing: the job's solver spans, in a scope of
+                # their own under the job's context, go back with the
+                # report whatever this node's own capture is doing.
+                with capture(ctx) as scope:
+                    payloads = run_jobs([suite_job], jobs=1)
+                snapshot = scope.snapshot(
+                    origin=f"fleet/{self.worker_id}/{lease['lease']}")
             payload = payloads[0]
         except ReproError as error:
             self._complete_failure(lease, "crashed", str(error))

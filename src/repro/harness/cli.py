@@ -992,7 +992,7 @@ def build_parser():
     serve_parser.add_argument(
         "--trace-requests", action="store_true",
         help="record per-job phase spans and solver spans under each "
-        "request's trace context (serializes solves; debugging aid)",
+        "request's trace context (disables mega-batching; debugging aid)",
     )
 
     worker_parser = subparsers.add_parser(

@@ -34,11 +34,12 @@ shape into :class:`SuiteJob` descriptions and fans them out over a
   payloads, so the recovery paths above are exercised by tests and the
   CI chaos job, not just by real failures.
 * **observability across processes** — when capture is on, each worker
-  resets the process-local :data:`repro.obs.OBS` singleton, records the
-  job, and ships a :func:`repro.obs.snapshot` back with its payload; the
-  parent folds the snapshot of each job's *successful* attempt in
-  job-index order via :func:`repro.obs.merge_snapshot` (exactly-once
-  per origin, so retries or repeated merges never double-count).
+  records the job in its own :func:`repro.obs.capture` scope and ships
+  the scope's snapshot back with its payload; the parent folds the
+  snapshot of each job's *successful* attempt, in job-index order, into
+  the caller's active capture via :func:`repro.obs.merge_snapshot`
+  (exactly-once per origin, so retries or repeated merges never
+  double-count).
 * **caching synergy** — workers build netlists through
   :func:`repro.circuits.suite.build_circuit`, so they share the on-disk
   artifact cache (:mod:`repro.cache`); a warm cache turns each worker's
@@ -66,6 +67,7 @@ from repro import envcfg
 from repro.harness import faults as fault_mod
 from repro.harness.checkpoint import SuiteCheckpoint, job_key
 from repro.obs import OBS, TraceContext, merge_snapshot
+from repro.obs import capture as obs_capture
 from repro.obs import events as obs_events
 from repro.utils.errors import CacheCorruptError, ReproError
 
@@ -164,14 +166,6 @@ class SuiteJob:
 
     ``pinned`` optionally maps gate names to plane indices (hard
     constraints; gradient method only).
-
-    ``trace_context`` optionally carries a
-    :meth:`repro.obs.context.TraceContext.to_wire` dict into the pool
-    worker executing this job, so worker-side spans re-parent under the
-    originating request's span tree (the partitioning service sets it).
-    It never participates in content keys (checkpoint ``job_key`` and
-    mega-batch ``job_pack_key`` enumerate their fields explicitly) and
-    never influences the produced payload.
     """
 
     kind: str
@@ -184,7 +178,6 @@ class SuiteJob:
     bias_limit_ma: float = 100.0
     netlist_json: object = None
     pinned: object = None
-    trace_context: object = None
     prev_labels: object = None
     eco: object = None
 
@@ -424,36 +417,30 @@ def _classify_exception(exc):
 
 
 def _worker_run(capture, plan, run_id, index, attempt, job, base_ctx=None):
-    """Pool entry point: execute one job attempt with a fresh obs window.
+    """Pool entry point: execute one job attempt in its own obs scope.
 
-    ``base_ctx`` is the parent process's trace-context wire dict (when
-    it had one); a job's own ``trace_context`` wins over it.  An active
-    context is namespaced by ``job<index>/a<attempt>`` so concurrent
-    workers (and retried attempts) derive disjoint span ids that all
-    parent back to the carried span — and it force-enables capture even
-    when the parent had tracing off, because a context is only ever
-    attached by a caller that wants the worker's spans back.
+    A forked worker inherits the submitting thread's capture scope, so
+    every attempt opens a fresh one (disabled unless ``capture``).
+    ``base_ctx`` is the parent's trace-context wire dict (when it had
+    one), namespaced by ``job<index>/a<attempt>`` so concurrent workers
+    (and retried attempts) derive disjoint span ids that all parent back
+    to the carried span.
     """
-    OBS.reset()
-    wire = job.trace_context if job.trace_context is not None else base_ctx
-    ctx = TraceContext.from_wire(wire) if wire is not None else None
+    ctx = TraceContext.from_wire(base_ctx) if base_ctx is not None else None
     if ctx is not None:
         ctx = ctx.namespaced(f"job{index}/a{attempt}")
-    if capture or ctx is not None:
-        OBS.enable()
-        if ctx is not None:
-            OBS.trace.context = ctx
-    else:
-        OBS.disable()
-    kind = plan.fault_for(index, attempt) if plan is not None else None
-    if kind is not None and kind != "corrupt":
-        fault_mod.raise_fault(kind)
-    payload = execute_job(job)
+    with obs_capture(ctx) as scope:
+        if not capture:
+            scope.disable()
+        kind = plan.fault_for(index, attempt) if plan is not None else None
+        if kind is not None and kind != "corrupt":
+            fault_mod.raise_fault(kind)
+        payload = execute_job(job)
     if kind == "corrupt":
         payload = fault_mod.corrupt_payload(payload)
     snap = (
-        OBS.snapshot(origin=f"{run_id}/job{index}/a{attempt}")
-        if OBS.enabled
+        scope.snapshot(origin=f"{run_id}/job{index}/a{attempt}")
+        if capture
         else None
     )
     return payload, snap
@@ -762,14 +749,14 @@ def _run_megabatch(state, pending, megabatch_mod):
 
 def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
              checkpoint=None, resume=False, fault_plan=None, return_report=False,
-             force_pool=False, megabatch=None, snapshot_sink=None):
+             force_pool=False, megabatch=None):
     """Execute jobs (inline or in a process pool); payloads in job order.
 
     With an effective worker count of 1 — or a single job — everything
     runs inline in this process and observability flows straight into
-    the live singleton.  Otherwise a ``ProcessPoolExecutor`` runs
+    the active capture.  Otherwise a ``ProcessPoolExecutor`` runs
     :func:`execute_job` per job and worker obs snapshots are merged into
-    the parent registry in job-index order.
+    the caller's active capture in job-index order.
 
     Parameters
     ----------
@@ -812,12 +799,6 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
         fails for any reason falls back to the per-job path without
         charging attempts.  Skipped entirely when a fault plan is
         active — chaos semantics are defined per job attempt.
-    snapshot_sink:
-        A callable receiving each worker obs snapshot (in job-index
-        order) *instead of* merging it into the process-wide ``OBS``
-        singleton.  The partitioning service uses this to route worker
-        spans into its private per-server tracer without touching the
-        singleton.
 
     Raises
     ------
@@ -883,10 +864,10 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
             _run_inline(state, pending, fault_plan)
         else:
             capture = OBS.enabled
-            # The parent's live trace context (when capture is on)
-            # rides into every worker that doesn't carry its own, so a
-            # CLI `--trace --jobs N` run still yields one connected
-            # span tree.
+            # The caller's live trace context (when capture is on) rides
+            # into every worker, so a CLI `--trace --jobs N` run or a
+            # deep-traced service job still yields one connected span
+            # tree.
             base_ctx = None
             if capture and OBS.trace.context is not None:
                 base_ctx = OBS.trace.context.to_wire()
@@ -898,10 +879,7 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
     # Snapshots merge after the run, in job-index order, so parallel
     # completion order never changes the aggregated metrics.
     for index in sorted(state.snaps):
-        if snapshot_sink is not None:
-            snapshot_sink(state.snaps[index])
-        else:
-            merge_snapshot(state.snaps[index])
+        merge_snapshot(state.snaps[index])
 
     if report.failed_jobs:
         details = []

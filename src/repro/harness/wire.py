@@ -51,8 +51,6 @@ def job_to_wire(job):
         wire["netlist_json"] = job.netlist_json
     if job.pinned is not None:
         wire["pinned"] = dict(job.pinned)
-    if job.trace_context is not None:
-        wire["trace_context"] = dict(job.trace_context)
     if job.prev_labels is not None:
         wire["prev_labels"] = [int(label) for label in job.prev_labels]
     if job.eco is not None:
@@ -94,7 +92,6 @@ def job_from_wire(wire):
         bias_limit_ma=float(wire.get("bias_limit_ma", 100.0)),
         netlist_json=wire.get("netlist_json"),
         pinned=wire.get("pinned"),
-        trace_context=wire.get("trace_context"),
         prev_labels=tuple(prev_labels) if prev_labels is not None else None,
         eco=wire.get("eco"),
     )

@@ -1,6 +1,6 @@
 """repro.obs — dependency-free observability: spans, metrics, telemetry.
 
-One process-wide :class:`Observability` singleton, :data:`OBS`, bundles
+An :class:`Observability` *capture* bundles
 
 * ``OBS.trace`` — the hierarchical span timer
   (:class:`~repro.obs.tracer.Tracer`);
@@ -9,12 +9,25 @@ One process-wide :class:`Observability` singleton, :data:`OBS`, bundles
 * ``OBS.telemetry`` — per-iteration solver records
   (:class:`~repro.obs.telemetry.SolverTelemetry`).
 
+Scope rule: :data:`OBS` is the one name every call site imports, and
+each attribute of it resolves on the capture *active in the current
+context* (a :class:`contextvars.ContextVar`).  The default is the
+process capture, which a new thread also sees.  :func:`capture` opens a
+private, enabled capture for the ``with`` block and is the only way
+code opens one; threads running concurrent scopes never share a span
+stack, so none of them waits on another.  What a scope recorded leaves
+it only as data: :meth:`Observability.snapshot` exports it and
+:func:`merge_snapshot` folds it into the capture active at the call
+(exactly once per origin, under a short lock, so concurrent scopes can
+fold into the process capture).  A process-pool worker forked inside a
+scope inherits that scope, so a worker always opens its own.
+
 Everything is **off by default** and instrumented call sites are
 written so the disabled path costs one attribute check (``if
 OBS.enabled:``) or one no-op context manager — see
-``tests/test_obs_overhead.py`` for the enforced budget.  Turn capture
-on with :func:`enable` / the ``REPRO_TRACE`` environment variable /
-the CLI ``--trace`` / ``--profile`` flags, and read results via
+``tests/test_obs_overhead.py`` for the enforced budget.  Turn the
+active capture on with :func:`enable` / the ``REPRO_TRACE`` environment
+variable / the CLI ``--trace`` / ``--profile`` flags, and read results via
 ``OBS.trace.render_table()``, ``OBS.metrics.as_dict()`` or
 :func:`repro.obs.export.write_trace_jsonl`.
 
@@ -36,10 +49,17 @@ Typical library use::
     print(OBS.trace.render_table())
     print(result.trace.telemetry[:3])   # per-iteration F1..F4 records
     disable(reset=True)
+
+    with capture() as scope:            # a private window, e.g. per job
+        partition(netlist, 5)
+    merge_snapshot(scope.snapshot())    # fold it into the outer capture
 """
 
+import contextlib
+import contextvars
 import functools
 import os
+import threading
 import uuid
 
 from repro import envcfg
@@ -81,6 +101,7 @@ __all__ = [
     "render_metrics",
     "render_exposition",
     "lint_exposition",
+    "capture",
     "enable",
     "disable",
     "enabled",
@@ -101,7 +122,8 @@ _TRUTHY = set(envcfg.TRUTHY_VALUES)
 class Observability:
     """Bundle of tracer + metrics + telemetry with one master switch."""
 
-    __slots__ = ("enabled", "trace", "metrics", "telemetry", "_merged_origins")
+    __slots__ = ("enabled", "trace", "metrics", "telemetry", "_merged_origins",
+                 "_lock")
 
     def __init__(self):
         self.enabled = False
@@ -109,6 +131,7 @@ class Observability:
         self.metrics = MetricsRegistry()
         self.telemetry = SolverTelemetry()
         self._merged_origins = set()
+        self._lock = threading.Lock()
 
     def enable(self):
         self.enabled = True
@@ -142,52 +165,91 @@ class Observability:
         """
         if origin is None:
             origin = f"{os.getpid()}-{uuid.uuid4().hex}"
-        return {
-            "origin": origin,
-            "metrics": self.metrics.as_dict(),
-            "spans": self.trace.as_dict(),
-            "events": list(self.trace.events),
-            "events_dropped": self.trace.events_dropped,
-            "telemetry": {
-                "runs": [dict(r) for r in self.telemetry.runs],
-                "records": [dict(r) for r in self.telemetry.records],
-            },
-        }
+        with self._lock:
+            return {
+                "origin": origin,
+                "metrics": self.metrics.as_dict(),
+                "spans": self.trace.as_dict(),
+                "events": list(self.trace.events),
+                "events_dropped": self.trace.events_dropped,
+                "telemetry": {
+                    "runs": [dict(r) for r in self.telemetry.runs],
+                    "records": [dict(r) for r in self.telemetry.records],
+                },
+            }
 
     def merge_snapshot(self, snap):
-        """Fold a :meth:`snapshot` into this process's collectors.
+        """Fold a :meth:`snapshot` into this capture's collectors.
 
         Returns True when merged, False when the snapshot's origin was
         already merged (so repeated merges never silently double-count).
-        Telemetry run ids are re-based onto this process's run counter
-        so records from different workers never collide.
+        Telemetry run ids are re-based onto this capture's run counter
+        so records from different workers never collide.  Concurrent
+        merges into one capture serialize on a short internal lock.
         """
-        origin = snap.get("origin")
-        if origin is not None and origin in self._merged_origins:
-            return False
-        self.metrics.merge_dict(snap.get("metrics", {}))
-        self.trace.merge_dict(
-            snap.get("spans", {}),
-            events=snap.get("events", ()),
-            events_dropped=snap.get("events_dropped", 0),
-        )
-        telemetry = snap.get("telemetry") or {}
-        run_offset = len(self.telemetry.runs)
-        for run in telemetry.get("runs", ()):
-            run = dict(run)
-            run["run"] = run.get("run", 0) + run_offset
-            self.telemetry.runs.append(run)
-        for record in telemetry.get("records", ()):
-            record = dict(record)
-            record["run"] = record.get("run", 0) + run_offset
-            self.telemetry.records.append(record)
-        if origin is not None:
-            self._merged_origins.add(origin)
-        return True
+        with self._lock:
+            origin = snap.get("origin")
+            if origin is not None and origin in self._merged_origins:
+                return False
+            self.metrics.merge_dict(snap.get("metrics", {}))
+            self.trace.merge_dict(
+                snap.get("spans", {}),
+                events=snap.get("events", ()),
+                events_dropped=snap.get("events_dropped", 0),
+            )
+            telemetry = snap.get("telemetry") or {}
+            run_offset = len(self.telemetry.runs)
+            for run in telemetry.get("runs", ()):
+                run = dict(run)
+                run["run"] = run.get("run", 0) + run_offset
+                self.telemetry.runs.append(run)
+            for record in telemetry.get("records", ()):
+                record = dict(record)
+                record["run"] = record.get("run", 0) + run_offset
+                self.telemetry.records.append(record)
+            if origin is not None:
+                self._merged_origins.add(origin)
+            return True
 
 
-#: The process-wide observability singleton.
-OBS = Observability()
+_ACTIVE = contextvars.ContextVar("repro.obs.active", default=Observability())
+_active = _ACTIVE.get
+
+
+class _ActiveCapture:
+    """:data:`OBS`: every attribute resolves on the active capture."""
+
+    __slots__ = ()
+
+    enabled = property(lambda self: _active().enabled)
+    trace = property(lambda self: _active().trace)
+    metrics = property(lambda self: _active().metrics)
+    telemetry = property(lambda self: _active().telemetry)
+
+    def __getattr__(self, name):
+        return getattr(_active(), name)
+
+
+#: The capture active in the current context (see the module docstring).
+OBS = _ActiveCapture()
+
+
+@contextlib.contextmanager
+def capture(ctx=None):
+    """Run the ``with`` block in a private, enabled capture; yields it.
+
+    ``ctx`` (a :class:`TraceContext`) becomes the scope tracer's
+    context, so its spans link into the tree that context belongs to.
+    The scope is read after the block via its
+    :meth:`~Observability.snapshot`.
+    """
+    scope = Observability().enable()
+    scope.trace.context = ctx
+    token = _ACTIVE.set(scope)
+    try:
+        yield scope
+    finally:
+        _ACTIVE.reset(token)
 
 
 def enable():
@@ -209,12 +271,12 @@ def reset():
 
 
 def snapshot(origin=None):
-    """Export the singleton's recorded state as plain JSON-able data."""
+    """Export the active capture's recorded state as plain JSON-able data."""
     return OBS.snapshot(origin=origin)
 
 
 def merge_snapshot(snap):
-    """Fold a worker snapshot into the singleton (exactly once per origin)."""
+    """Fold a snapshot into the active capture (exactly once per origin)."""
     return OBS.merge_snapshot(snap)
 
 

@@ -26,8 +26,8 @@ Wire forms:
   header (:meth:`to_header` / :meth:`from_header`; a malformed header
   is *ignored*, never an error — the server then starts a fresh trace);
 * :meth:`to_wire` / :meth:`from_wire` — a plain dict that survives
-  JSON and pickle, used on :class:`~repro.harness.runner.SuiteJob` to
-  carry the context into pool workers.
+  JSON and pickle, which carries the context into pool workers (the
+  runner's ``base_ctx``) and fleet nodes (the lease's ``trace``).
 
 The ``REPRO_TRACE_CONTEXT`` knob (default **enabled**; set to
 ``0/off/false/no`` to disable) governs whether the service and CLI

@@ -18,10 +18,11 @@ single attribute check — no allocation, no clock read.  Hot loops may
 therefore be instrumented unconditionally; see
 ``tests/test_obs_overhead.py`` for the enforced <2 % budget.
 
-The tracer is deliberately dependency-free (standard library only) and
-single-threaded: the span stack is one plain list.  Instrument
-thread-pool workers with their own ``Tracer`` instance and
-:meth:`merge` the results if that ever becomes necessary.
+The tracer is deliberately dependency-free (standard library only),
+and one tracer serves one thread at a time: the span stack is one plain
+list.  Concurrent work records into separate tracers — each
+:func:`repro.obs.capture` scope owns one — that are folded together
+with :meth:`merge` / :meth:`merge_dict`.
 
 Trace context (:mod:`repro.obs.context`): a tracer may carry a
 :class:`~repro.obs.context.TraceContext` in :attr:`Tracer.context`.

@@ -20,11 +20,7 @@
   running job finishes (inline solves cannot be interrupted).
 
 Thread-safety: all job/queue state is guarded by one condition
-variable.  Solver observability (the process-wide ``OBS`` singleton) is
-not thread-safe, so when capture is enabled job execution is
-additionally serialized by a dedicated lock — trace capture costs
-concurrency, which is fine for its debugging use; with capture off
-(the default) workers run fully in parallel.
+variable; workers run fully in parallel whether capture is on or off.
 
 Observability (this PR's substrate; see docs/observability.md):
 
@@ -36,19 +32,20 @@ Observability (this PR's substrate; see docs/observability.md):
 * per-phase latency histograms (``service.job.queue_wait_seconds`` /
   ``solve_seconds`` / ``finalize_seconds`` / ``store_seconds``) feed
   the Prometheus exposition of ``GET /metrics``;
-* with ``tracing`` on (``repro-gpp serve --trace-requests``), each job
-  records phase spans into a private tracer parented under the
-  originating request's span, and the solver itself is captured —
-  inline isolation borrows the ``OBS`` singleton for a serialized
-  window (under ``_obs_lock``), process isolation ships the context
-  into the pool worker via ``SuiteJob.trace_context`` and routes the
-  worker snapshot back through ``run_jobs(snapshot_sink=...)``.  Both
-  paths feed ``trace_sink`` (the server's absorb hook) so one request
-  yields one connected span tree.  Deep tracing serializes solves and
-  is strictly opt-in.
+* a job that wants capture — ``tracing`` on (``repro-gpp serve
+  --trace-requests``) and a trace context attached, or the process
+  capture enabled (``REPRO_TRACE``) — runs its phase spans
+  (``service.job`` → ``solve`` / ``finalize`` / ``store``) and its solve
+  in one :func:`repro.obs.capture` scope.  Under deep tracing the
+  ``service.job`` span is pinned to the job's context, so pool-worker
+  and fleet-node snapshots merged into the scope parent under the
+  originating request's span.  On exit the scope's snapshot goes to
+  exactly one place: ``trace_sink`` (the server's absorb hook) under
+  deep tracing, the process capture otherwise.  One request thus
+  yields one connected span tree.
 """
 
-import dataclasses
+import contextlib
 import itertools
 import threading
 import time
@@ -59,7 +56,7 @@ from repro.harness import faults as fault_mod
 from repro.harness import megabatch as megabatch_mod
 from repro.harness.checkpoint import payload_to_jsonable
 from repro.harness.runner import run_jobs
-from repro.obs import NOOP_SPAN, OBS, TraceContext, Tracer
+from repro.obs import OBS, TraceContext, capture, merge_snapshot
 from repro.service.api import pack_signature, request_to_job
 from repro.service.errors import (
     NotFoundError,
@@ -160,8 +157,8 @@ class JobManager:
         self.fault_plan = fault_plan
         self.metrics = metrics
         self.events = events          # EventLog (or None: no event emission)
-        self.tracing = bool(tracing)  # deep solver tracing (serializes solves)
-        self.trace_sink = trace_sink  # callable(tracer=, snapshot=) per job
+        self.tracing = bool(tracing)  # deep per-request solver tracing
+        self.trace_sink = trace_sink  # callable(snapshot) per traced job
         # Mega-batching is inline-only: the packed solve runs in the
         # worker thread, which would silently bypass the crash
         # isolation and enforceable deadlines process isolation buys.
@@ -182,7 +179,6 @@ class JobManager:
         self._running = False
         self._draining = False
         self._threads = []
-        self._obs_lock = threading.Lock()
 
     # -- metrics / events ----------------------------------------------
     def _inc(self, name, amount=1):
@@ -503,10 +499,7 @@ class JobManager:
             self._emit(job, "solving", batched=True, group_size=len(jobs))
         try:
             suite_jobs = [request_to_job(job.request) for job in jobs]
-            serialize = OBS.enabled
-            if serialize:
-                self._obs_lock.acquire()
-            try:
+            with self._scope(None, f"service/{jobs[0].id}/batch"):
                 payloads = run_jobs(
                     suite_jobs,
                     jobs=1,
@@ -515,9 +508,6 @@ class JobManager:
                     backoff=self.backoff,
                     megabatch=True,
                 )
-            finally:
-                if serialize:
-                    self._obs_lock.release()
             jsonables = [payload_to_jsonable(payload) for payload in payloads]
         except Exception:
             self._inc("service.megabatch.fallbacks")
@@ -536,40 +526,37 @@ class JobManager:
                 self._inc_locked("service.jobs.completed")
             self._emit(job, "done", batched=True)
 
-    def _job_tracer(self, job):
-        """Deep-tracing setup of one job: ``(private Tracer, ctx)``.
-
-        Returns ``(None, None)`` unless tracing is on, a sink exists and
-        the job carries a trace context — the plain path records
-        nothing per job.
-        """
+    def _trace_ctx(self, job):
+        """The job's span context under deep tracing, else ``None``."""
         if not self.tracing or self.trace_sink is None or job.trace is None:
-            return None, None
-        ctx = TraceContext.from_wire(job.trace)
-        if ctx is None:
-            return None, None
-        tracer = Tracer()
-        tracer.enabled = True
-        return tracer, ctx
+            return None
+        return TraceContext.from_wire(job.trace)
 
-    def _absorb(self, tracer, snap):
-        """Hand a job's phase spans + solver snapshot to the trace sink."""
-        if self.trace_sink is None:
+    @contextlib.contextmanager
+    def _scope(self, ctx, origin):
+        """Run the block in one capture scope when the job wants capture.
+
+        It does under deep tracing (``ctx`` set) or while the process
+        capture is enabled; otherwise nothing is opened and the block's
+        instrumentation stays on the disabled fast path.  On exit the
+        scope's snapshot goes to exactly one place: the trace sink under
+        deep tracing, the process capture otherwise.
+        """
+        if ctx is None and not OBS.enabled:
+            yield
             return
-        if tracer is None and snap is None:
-            return
-        self.trace_sink(tracer=tracer, snapshot=snap)
+        try:
+            with capture() as scope:
+                yield
+        finally:
+            snap = scope.snapshot(origin=origin)
+            if ctx is not None:
+                self.trace_sink(snap)
+            else:
+                merge_snapshot(snap)
 
-    def _solve(self, suite_job, fault_plan, solve_ctx, job):
-        """One job's solve; returns ``(payloads, solver snapshot | None)``.
-
-        ``solve_ctx`` (deep tracing only) parents the solver's spans
-        under the job's phase tree: process isolation ships it into the
-        pool worker via ``SuiteJob.trace_context`` and collects the
-        worker snapshot through ``snapshot_sink``; inline isolation
-        borrows the ``OBS`` singleton for a serialized capture window.
-        The partition payloads are bitwise-identical either way — the
-        context never enters a content key.
+    def _solve(self, suite_job, fault_plan, job):
+        """One job's solve: its payload list, from a local run or the fleet.
 
         ``isolation="fleet"`` dispatches instead of solving: the job is
         queued on the :class:`~repro.fleet.coordinator.FleetCoordinator`
@@ -581,74 +568,37 @@ class JobManager:
         worker-kill chaos story.
         """
         if self.isolation == "fleet":
-            return self._solve_fleet(suite_job, solve_ctx, job)
-        force_pool = self.isolation == "process"
-        kwargs = dict(jobs=1, timeout=self.timeout, retries=self.retries,
-                      backoff=self.backoff, fault_plan=fault_plan)
-        if solve_ctx is not None and force_pool:
-            shipped = dataclasses.replace(
-                suite_job, trace_context=solve_ctx.to_wire())
-            snaps = []
-            serialize = OBS.enabled
-            if serialize:
-                self._obs_lock.acquire()
-            try:
-                payloads = run_jobs([shipped], force_pool=True,
-                                    snapshot_sink=snaps.append, **kwargs)
-            finally:
-                if serialize:
-                    self._obs_lock.release()
-            return payloads, (snaps[0] if snaps else None)
-        if solve_ctx is not None:
-            with self._obs_lock:
-                if OBS.enabled:
-                    # A user capture (REPRO_TRACE) owns the singleton;
-                    # don't reset it — run plainly inside that capture.
-                    payloads = run_jobs([suite_job], force_pool=force_pool,
-                                        **kwargs)
-                    return payloads, None
-                OBS.reset()
-                OBS.enable()
-                OBS.trace.context = solve_ctx
-                try:
-                    payloads = run_jobs([suite_job], force_pool=force_pool,
-                                        **kwargs)
-                    snap = OBS.snapshot(origin=f"service/{job.id}")
-                finally:
-                    OBS.disable(reset=True)
-                return payloads, snap
-        serialize = OBS.enabled
-        if serialize:
-            # The OBS singleton (tracer span stack) is single-threaded.
-            self._obs_lock.acquire()
-        try:
-            payloads = run_jobs([suite_job], force_pool=force_pool, **kwargs)
-        finally:
-            if serialize:
-                self._obs_lock.release()
-        return payloads, None
+            return self._solve_fleet(suite_job, job)
+        return run_jobs([suite_job], jobs=1, timeout=self.timeout,
+                        retries=self.retries, backoff=self.backoff,
+                        fault_plan=fault_plan,
+                        force_pool=self.isolation == "process")
 
-    def _solve_fleet(self, suite_job, solve_ctx, job):
+    def _solve_fleet(self, suite_job, job):
         """Dispatch one job to the fleet and wait for its resolution.
 
-        Returns the same ``(payloads, snapshot)`` shape as a local
-        solve; raises :class:`ReproError` when the fleet exhausted the
-        job's retries (the normal failed-job path picks that up).  The
-        wait is bounded only when an explicit ``timeout`` was
-        configured — a queue deeper than the worker pool legitimately
-        parks jobs for longer than any per-attempt budget.
+        Raises :class:`ReproError` when the fleet exhausted the job's
+        retries (the normal failed-job path picks that up).  Under deep
+        tracing the lease carries the live ``solve`` span's context and
+        the node's snapshot merges into the job's scope.  The wait is
+        bounded only when an explicit ``timeout`` was configured — a
+        queue deeper than the worker pool legitimately parks jobs for
+        longer than any per-attempt budget.
         """
-        trace = solve_ctx.to_wire() if solve_ctx is not None else job.trace
+        ctx = OBS.trace.context if self.tracing else None
         task = self.fleet.submit(
-            job.key, suite_job, job.request, trace=trace,
-            tracing=self.tracing and solve_ctx is not None, job_id=job.id,
+            job.key, suite_job, job.request,
+            trace=ctx.to_wire() if ctx is not None else job.trace,
+            tracing=ctx is not None, job_id=job.id,
         )
         deadline = None
         if self.timeout is not None:
             per_attempt = self.fleet.lease_ttl + float(self.timeout)
             deadline = (self.fleet.retries + 1) * per_attempt + 10.0
         payload, snapshot = task.wait(timeout=deadline)
-        return [payload], snapshot
+        if snapshot is not None:
+            merge_snapshot(snapshot)
+        return [payload]
 
     def _execute(self, job):
         if job.request.get("kind") == "sweep":
@@ -660,20 +610,16 @@ class JobManager:
         queue_wait = max(0.0, (job.started_at or time.time()) - job.submitted_at)
         self._observe("service.job.queue_wait_seconds", queue_wait)
         self._emit(job, "leased", queue_wait_s=round(queue_wait, 6))
-        tracer, ctx = self._job_tracer(job)
-        snap = None
+        ctx = self._trace_ctx(job)
         try:
-            root = (tracer.span("service.job", ctx=ctx, job=job.id,
-                                circuit=job.request.get("circuit"))
-                    if tracer is not None else NOOP_SPAN)
-            with root:
+            with self._scope(ctx, f"service/{job.id}"), OBS.trace.span(
+                    "service.job", ctx=ctx, job=job.id,
+                    circuit=job.request.get("circuit")):
                 suite_job = request_to_job(job.request)
                 self._emit(job, "solving")
                 started = time.perf_counter()
-                with (tracer.span("solve") if tracer is not None else NOOP_SPAN):
-                    solve_ctx = tracer.context if tracer is not None else None
-                    payloads, snap = self._solve(
-                        suite_job, fault_plan, solve_ctx, job)
+                with OBS.trace.span("solve"):
+                    payloads = self._solve(suite_job, fault_plan, job)
                 solve_s = time.perf_counter() - started
                 self._observe("service.job.solve_seconds", solve_s)
                 self._emit(job, "solved", solve_s=round(solve_s, 6))
@@ -687,13 +633,13 @@ class JobManager:
                     elif info.get("mode") == "cold":
                         self._inc("service.eco.cold_fallbacks")
                 started = time.perf_counter()
-                with (tracer.span("finalize") if tracer is not None else NOOP_SPAN):
+                with OBS.trace.span("finalize"):
                     payload = payload_to_jsonable(payloads[0])
                 self._observe("service.job.finalize_seconds",
                               time.perf_counter() - started)
                 if self.store is not None:
                     started = time.perf_counter()
-                    with (tracer.span("store") if tracer is not None else NOOP_SPAN):
+                    with OBS.trace.span("store"):
                         self.store.put(job.key, payloads[0],
                                        meta={"request": job.request})
                     store_s = time.perf_counter() - started
@@ -705,13 +651,11 @@ class JobManager:
                 self._finish_locked(job, "failed", error=str(error))
                 self._inc_locked("service.jobs.failed")
             self._emit(job, "failed", error=str(error))
-            self._absorb(tracer, snap)
             return
         with self._cond:
             self._finish_locked(job, "done", payload=payload)
             self._inc_locked("service.jobs.completed")
         self._emit(job, "done")
-        self._absorb(tracer, snap)
 
     def _execute_sweep(self, job):
         """One ``kind="sweep"`` job: fan the K x ratio grid, store points.
@@ -729,28 +673,19 @@ class JobManager:
         queue_wait = max(0.0, (job.started_at or time.time()) - job.submitted_at)
         self._observe("service.job.queue_wait_seconds", queue_wait)
         self._emit(job, "leased", queue_wait_s=round(queue_wait, 6))
-        tracer, ctx = self._job_tracer(job)
+        ctx = self._trace_ctx(job)
         try:
-            root = (tracer.span("service.job", ctx=ctx, job=job.id,
-                                circuit=job.request.get("circuit"))
-                    if tracer is not None else NOOP_SPAN)
-            with root:
+            with self._scope(ctx, f"service/{job.id}"), OBS.trace.span(
+                    "service.job", ctx=ctx, job=job.id,
+                    circuit=job.request.get("circuit")):
                 self._emit(job, "solving")
                 started = time.perf_counter()
                 run_kwargs = dict(timeout=self.timeout, retries=self.retries,
                                   backoff=self.backoff, fault_plan=fault_plan,
                                   force_pool=self.isolation == "process")
-                serialize = OBS.enabled
-                if serialize:
-                    # The OBS singleton (tracer span stack) is single-threaded.
-                    self._obs_lock.acquire()
-                try:
-                    with (tracer.span("sweep") if tracer is not None else NOOP_SPAN):
-                        payload, stats = execute_sweep(
-                            job.request, store=self.store, run_kwargs=run_kwargs)
-                finally:
-                    if serialize:
-                        self._obs_lock.release()
+                with OBS.trace.span("sweep"):
+                    payload, stats = execute_sweep(
+                        job.request, store=self.store, run_kwargs=run_kwargs)
                 sweep_s = time.perf_counter() - started
                 self._observe("service.job.sweep_seconds", sweep_s)
                 self._inc("service.sweep.points", stats["points"])
@@ -764,7 +699,7 @@ class JobManager:
                 payload = payload_to_jsonable(payload)
                 if self.store is not None:
                     started = time.perf_counter()
-                    with (tracer.span("store") if tracer is not None else NOOP_SPAN):
+                    with OBS.trace.span("store"):
                         self.store.put(job.key, payload,
                                        meta={"request": job.request})
                     store_s = time.perf_counter() - started
@@ -776,10 +711,8 @@ class JobManager:
                 self._finish_locked(job, "failed", error=str(error))
                 self._inc_locked("service.jobs.failed")
             self._emit(job, "failed", error=str(error))
-            self._absorb(tracer, None)
             return
         with self._cond:
             self._finish_locked(job, "done", payload=payload)
             self._inc_locked("service.jobs.completed")
         self._emit(job, "done")
-        self._absorb(tracer, None)

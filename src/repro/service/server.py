@@ -31,11 +31,12 @@ coordinator (see :mod:`repro.fleet`)::
 
 Observability: the server owns a private
 :class:`~repro.obs.metrics.MetricsRegistry` and
-:class:`~repro.obs.tracer.Tracer` — the process singleton ``OBS`` stays
-untouched (it is single-threaded by design; see
-:mod:`repro.service.jobs` for how solver-side capture is handled).
-Request handler threads record each request into a short-lived private
-tracer and merge it into the server tracer under a lock.
+:class:`~repro.obs.tracer.Tracer`, separate from the process capture
+``OBS``.  Request handler threads record each request into a
+short-lived private tracer and merge it into the server tracer under a
+lock; under deep tracing each job's capture-scope snapshot is folded in
+the same way (:meth:`PartitionService.absorb`; see
+:mod:`repro.service.jobs`).
 
 Trace context: unless ``REPRO_TRACE_CONTEXT`` is off, every request
 gets a :class:`~repro.obs.context.TraceContext` — continued from an
@@ -267,24 +268,21 @@ class PartitionService:
                     f"service.http.seconds.{route}"
                 ).observe(duration_s)
 
-    def absorb(self, tracer=None, snapshot=None):
+    def absorb(self, snapshot):
         """The job manager's trace sink (deep tracing only).
 
-        Folds a job's phase tracer and the solver-side snapshot into
-        the server tracer/metrics; solver telemetry records are dropped
-        — per-iteration dumps belong to CLI trace files, not a
-        long-running server's memory.
+        Folds a job's capture-scope snapshot (phase and solver spans,
+        solver metrics) into the server tracer/metrics; solver telemetry
+        records are dropped — per-iteration dumps belong to CLI trace
+        files, not a long-running server's memory.
         """
         with self._telemetry_lock:
-            if tracer is not None:
-                self.tracer.merge(tracer)
-            if snapshot is not None:
-                self.metrics.merge_dict(snapshot.get("metrics", {}))
-                self.tracer.merge_dict(
-                    snapshot.get("spans", {}),
-                    events=snapshot.get("events", ()),
-                    events_dropped=snapshot.get("events_dropped", 0),
-                )
+            self.metrics.merge_dict(snapshot.get("metrics", {}))
+            self.tracer.merge_dict(
+                snapshot.get("spans", {}),
+                events=snapshot.get("events", ()),
+                events_dropped=snapshot.get("events_dropped", 0),
+            )
 
     # -- route logic (transport-free; the handler is a thin shell) -----
     def submit(self, body, ctx=None):

@@ -1,12 +1,14 @@
 """End-to-end observability of the service stack.
 
 The acceptance contract of this layer: one HTTP ``POST /v1/jobs``
-against a process-isolated, 2-worker server produces **one connected
-span tree** — root carrying the request id, leaves including the
-worker-side solver spans — verified by replaying the JSONL trace
-exported from ``GET /v1/trace``; ``GET /metrics`` speaks clean
+against a 2-worker server — inline, process-isolated or fleet —
+produces **one connected span tree** — root carrying the request id,
+leaves including the solver spans — verified by replaying the JSONL
+trace exported from ``GET /v1/trace``; ``GET /metrics`` speaks clean
 Prometheus text exposition; the job event log tells the lifecycle
 story; and payloads stay bitwise-identical with everything enabled.
+Deep-traced solves run concurrently: each job records into its own
+``obs.capture`` scope.
 """
 
 import contextlib
@@ -17,12 +19,15 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.fleet.worker import FleetWorker
 from repro.harness.runner import execute_job
-from repro.obs import TRACE_HEADER, EventLog, TraceContext, lint_exposition
+from repro.obs import OBS, TRACE_HEADER, EventLog, TraceContext, lint_exposition
 from repro.obs.export import read_trace_jsonl
 from repro.obs.report import render_waterfall, span_trees
 from repro.service import ServiceClient, build_server
-from repro.service.api import request_to_job, validate_request
+from repro.service import jobs as jobs_mod
+from repro.service.api import request_key, request_to_job, validate_request
+from repro.service.jobs import JobManager
 from repro.service.server import route_label
 from repro.service.store import ResultStore
 
@@ -45,7 +50,48 @@ def running_server(tmp_path, **opts):
         thread.join(5)
 
 
+@contextlib.contextmanager
+def fleet_worker(server):
+    worker = FleetWorker(server.url, worker_id="trace-node", poll=0.2,
+                         store=server.service.store)
+    thread = threading.Thread(target=worker.run, daemon=True)
+    thread.start()
+    try:
+        yield worker
+    finally:
+        worker.stop()
+        thread.join(5)
+
+
 REQ = {"circuit": "KSA4", "num_planes": 3, "seed": 2020}
+
+
+def tree_paths(node):
+    yield node["path"]
+    for child in node["children"]:
+        yield from tree_paths(child)
+
+
+def leaves(node):
+    if not node["children"]:
+        yield node
+    for child in node["children"]:
+        yield from leaves(child)
+
+
+def is_solver_path(path):
+    return "partition" in path.split("/")
+
+
+def one_request_tree(trace_text, request_id):
+    """The single span tree ``request_id`` produced in an exported trace."""
+    parsed = read_trace_jsonl(io.StringIO(trace_text))
+    requests, _skipped = span_trees(parsed["spans"])
+    assert request_id in requests
+    roots = requests[request_id]
+    assert len(roots) == 1, "one request must produce exactly one tree"
+    assert roots[0]["ctx"]["request"] == request_id
+    return parsed, roots[0]
 
 
 @pytest.fixture(autouse=True)
@@ -59,8 +105,9 @@ def _clean_obs():
 # the tentpole: one POST -> one connected span tree
 
 
-def test_one_post_yields_one_connected_span_tree(tmp_path):
-    with running_server(tmp_path, isolation="process", tracing=True) as (
+@pytest.mark.parametrize("isolation", ["inline", "process"])
+def test_one_post_yields_one_connected_span_tree(tmp_path, isolation):
+    with running_server(tmp_path, isolation=isolation, tracing=True) as (
         server, client,
     ):
         job = client.submit(REQ)
@@ -69,45 +116,98 @@ def test_one_post_yields_one_connected_span_tree(tmp_path):
         client.wait(job["id"], timeout=120)
         trace_text = client.trace_text()
 
-    parsed = read_trace_jsonl(io.StringIO(trace_text))
+    parsed, root = one_request_tree(trace_text, request_id)
     assert parsed["header"]["schema_version"] == 2
-    requests, _skipped = span_trees(parsed["spans"])
-    assert request_id in requests
-
-    roots = requests[request_id]
-    assert len(roots) == 1, "one request must produce exactly one tree"
-    root = roots[0]
-    assert root["ctx"]["request"] == request_id
-
-    def paths(node):
-        yield node["path"]
-        for child in node["children"]:
-            yield from paths(child)
-
-    tree_paths = set(paths(root))
+    paths = set(tree_paths(root))
     # Service-side phases...
-    assert "service.job" in {p.split("/")[-0] for p in tree_paths} or any(
-        p.endswith("service.job") or "service.job" in p for p in tree_paths
-    )
-    assert any("solve" in p for p in tree_paths)
-    # ...and worker-side solver spans crossed the process boundary into
-    # the same tree (these paths are recorded by the pool worker).
-    assert any(p.startswith("partition") for p in tree_paths)
-
-    def leaves(node):
-        if not node["children"]:
-            yield node
-        for child in node["children"]:
-            yield from leaves(child)
-
-    assert any(
-        leaf["path"].startswith("partition") for leaf in leaves(root)
-    ), "leaves must include worker-side solver spans"
+    assert any("service.job" in p.split("/") for p in paths)
+    assert any("solve" in p.split("/") for p in paths)
+    # ...and the solver spans (recorded in the pool worker under
+    # process isolation) landed in the same tree.
+    assert any(is_solver_path(p) for p in paths)
+    assert any(is_solver_path(leaf["path"]) for leaf in leaves(root)), (
+        "leaves must include solver spans")
 
     # The waterfall renderer replays the same file.
     report = render_waterfall(parsed, request=request_id)
     assert f"request {request_id}" in report
     assert "service.job" in report
+
+
+@pytest.mark.parametrize("node_capture", [False, True],
+                         ids=["node-capture-off", "node-capture-on"])
+def test_fleet_node_solver_spans_join_the_request_tree(tmp_path, node_capture):
+    """Deep tracing through a fleet: the node's solver spans come back
+    with its report — also when the node's own process capture is on."""
+    if node_capture:
+        obs.enable()
+    with running_server(tmp_path, isolation="fleet", tracing=True,
+                        retries=2) as (server, client):
+        with fleet_worker(server):
+            job = client.submit(REQ)
+            request_id = job["trace"]["request_id"]
+            client.wait(job["id"], timeout=120)
+        served = client.result(job["id"])["result"]
+        trace_text = client.trace_text()
+
+    local = execute_job(request_to_job(validate_request(REQ)))
+    assert served["labels"] == local["labels"].tolist()
+    _parsed, root = one_request_tree(trace_text, request_id)
+    assert root["path"] == "service.request"
+    assert any(is_solver_path(leaf["path"]) for leaf in leaves(root)), (
+        "the fleet node's solver spans must land in the request's tree")
+
+
+@pytest.mark.parametrize("mode", ["deep-tracing", "process-capture"])
+def test_captured_inline_solves_run_concurrently(monkeypatch, mode):
+    """Two captured inline solves must be in flight at once: each
+    job's ``run_jobs`` waits for the other at a barrier."""
+    barrier = threading.Barrier(2, timeout=10)
+    real_run_jobs = jobs_mod.run_jobs
+
+    def rendezvous(*args, **kwargs):
+        barrier.wait()
+        return real_run_jobs(*args, **kwargs)
+
+    monkeypatch.setattr(jobs_mod, "run_jobs", rendezvous)
+    deep = mode == "deep-tracing"
+    if not deep:
+        obs.enable()
+    snapshots = []
+    manager = JobManager(workers=2, isolation="inline", retries=0,
+                         backoff=0.0, tracing=deep,
+                         trace_sink=snapshots.append).start()
+    contexts = [TraceContext.new() for _ in range(2)]
+    try:
+        submitted = []
+        for seed, ctx in zip((1, 2), contexts):
+            normalized = validate_request(dict(REQ, seed=seed))
+            job, _ = manager.submit(request_key(normalized), normalized, ctx=ctx)
+            submitted.append(job)
+        for job in submitted:
+            assert job.done_event.wait(60)
+    finally:
+        manager.stop()
+    assert [job.state for job in submitted] == ["done", "done"]
+
+    if deep:
+        assert len(snapshots) == 2
+        by_request = {}
+        for snap in snapshots:
+            requests, skipped = span_trees(snap["events"])
+            assert skipped == 0 and len(requests) == 1
+            by_request.update(requests)
+        assert set(by_request) == {ctx.request_id for ctx in contexts}
+        for roots in by_request.values():
+            assert len(roots) == 1 and roots[0]["path"] == "service.job"
+            assert any(is_solver_path(p) for p in tree_paths(roots[0]))
+        assert OBS.trace.aggregates == {}, "deep traces go to the sink only"
+    else:
+        assert snapshots == []
+        partitions = [event for event in OBS.trace.events
+                      if event["name"] == "partition"]
+        assert len(partitions) == 2
+        assert OBS.trace.aggregates["service.job/solve/partition"].count == 2
 
 
 def test_client_supplied_header_continues_the_callers_trace(tmp_path):
@@ -137,9 +237,11 @@ def test_trace_header_round_trips_on_responses(tmp_path):
         assert parsed.span_id != ctx.span_id
 
 
-def test_payloads_bitwise_identical_with_tracing_and_events_on(tmp_path):
+@pytest.mark.parametrize("isolation", ["inline", "process"])
+def test_payloads_bitwise_identical_with_tracing_and_events_on(
+        tmp_path, isolation):
     with running_server(
-        tmp_path, isolation="process", tracing=True, events=EventLog()
+        tmp_path, isolation=isolation, tracing=True, events=EventLog()
     ) as (_server, client):
         served = client.partition(REQ)
     local = execute_job(request_to_job(validate_request(REQ)))

@@ -2,20 +2,20 @@
 """Mega-batch benchmark: queued partition jobs solved solo vs packed.
 
 Queues of 1/4/16 compatible partition jobs run through
-:func:`repro.harness.runner.run_jobs` once solo and once packed
-(``megabatch=True``), the per-job payloads are diffed bitwise (any
-mismatch is a hard failure — packing is only legal because it is
-invisible), and the solo/packed throughput ratio is written to
-``BENCH_megabatch.json``.  Solver time per call is measured by the
+:func:`repro.harness.runner.run_jobs` once solo (one
+``run_jobs([job], jobs=1)`` call per job) and once packed (one
+``run_jobs(jobs, jobs=1)`` call, whose inline loop packs the queue),
+the per-job payloads are diffed bitwise (any mismatch is a hard
+failure — packing is only legal because it is invisible), and the
+solo/packed throughput ratio is written to ``BENCH_megabatch.json``.  Solver time per call is measured by the
 performance ledger (``benchmarks/ledger/``, ``core.solve_ms_per_call``).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/perf/bench_megabatch.py --megabatch
-    PYTHONPATH=src python benchmarks/perf/bench_megabatch.py --quick --megabatch
+    PYTHONPATH=src python benchmarks/perf/bench_megabatch.py
+    PYTHONPATH=src python benchmarks/perf/bench_megabatch.py --quick
 
-``--megabatch`` names the scenario; it is the only one, so the flag may
-be left out.  ``--quick`` is the CI smoke mode: 1 repeat, 4 restarts, a
+``--quick`` is the CI smoke mode: 1 repeat, 4 restarts, a
 300-iteration cap — it exists to prove the packed payloads match, not
 to produce meaningful timings.
 
@@ -61,8 +61,8 @@ MEGABATCH_CIRCUIT = "KSA4"
 def run_megabatch_benchmark(circuit, planes, restarts, repeats, max_iterations, seed, quick):
     """Solo vs packed execution of 1/4/16 queued compatible jobs.
 
-    Every row re-solves the same queue twice — once with cross-job
-    packing off, once on — and diffs the per-job payloads bitwise
+    Every row re-solves the same queue twice — job by job, then as one
+    packed queue — and diffs the per-job payloads bitwise
     (canonical JSON form, labels included).  ``payloads_identical``
     False anywhere is a benchmark failure, not a data point: packing
     must be invisible.
@@ -88,10 +88,10 @@ def run_megabatch_benchmark(circuit, planes, restarts, repeats, max_iterations, 
         solo_payloads = packed_payloads = None
         for _ in range(repeats):
             start = time.perf_counter()
-            solo_payloads = run_jobs(jobs, jobs=1, megabatch=False)
+            solo_payloads = [run_jobs([job], jobs=1)[0] for job in jobs]
             solo_s = min(solo_s, time.perf_counter() - start)
             start = time.perf_counter()
-            packed_payloads = run_jobs(jobs, jobs=1, megabatch=True)
+            packed_payloads = run_jobs(jobs, jobs=1)
             packed_s = min(packed_s, time.perf_counter() - start)
         identical = [payload_to_jsonable(p) for p in solo_payloads] == [
             payload_to_jsonable(p) for p in packed_payloads
@@ -155,12 +155,6 @@ def main(argv=None):
         "--quick",
         action="store_true",
         help="CI smoke mode: 1 repeat, 4 restarts, 300-iteration cap",
-    )
-    parser.add_argument(
-        "--megabatch",
-        action="store_true",
-        help="benchmark cross-job packing (solo vs packed run_jobs); the "
-             "only scenario, so this is the default",
     )
     args = parser.parse_args(argv)
 

@@ -99,14 +99,11 @@ ENV_VARS = (
            "Per-job-attempt wall-clock limit; a timed-out attempt "
            "terminates the worker pool and is retried."),
     EnvVar("REPRO_MEGABATCH", "flag", "disabled",
-           "repro.harness.megabatch",
-           "1/true/yes/on packs compatible queued partition jobs into "
-           "one batched kernel invocation (suite runner and service "
-           "drain loop).  Per-job results are bitwise-identical to solo "
-           "solves."),
-    EnvVar("REPRO_MEGABATCH_LIMIT", "int >= 1", "16",
-           "repro.harness.megabatch",
-           "Maximum number of jobs packed into one mega-batch group."),
+           "repro.service.jobs",
+           "1/true/yes/on lets a service worker drain queued partition "
+           "jobs that share the head job's pack key (at most 16) into "
+           "one batch, which the runner solves packed.  Per-job results "
+           "are bitwise-identical to solo solves."),
     EnvVar("REPRO_RETRIES", "int >= 0", "2",
            "repro.harness.runner",
            "Retries per failed job (additional attempts after the "

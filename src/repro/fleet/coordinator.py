@@ -10,7 +10,7 @@ Failure handling reuses the PR-4 taxonomy end to end:
 * a worker reporting a failed attempt (``crashed`` / ``timed-out`` /
   ``invalid-result`` / ``cache-corrupt``) charges one retry and the job
   is requeued after the runner's exponential backoff
-  (``backoff * 2**(n-1)``);
+  (:func:`repro.harness.runner.retry_delay`);
 * a returned payload is validated with
   :func:`repro.harness.runner.validate_payload` — garbage counts as an
   ``invalid-result`` attempt, exactly like a corrupt pool worker;
@@ -35,6 +35,7 @@ from repro.harness.runner import (
     JobFailure,
     resolve_backoff,
     resolve_retries,
+    retry_delay,
     validate_payload,
 )
 from repro.harness.wire import job_to_wire
@@ -337,7 +338,8 @@ class FleetCoordinator:
                              attempt=task.attempts, message=message)
         task.failures.append(failure)
         self._inc_locked(f"fleet.failures.{kind}")
-        if len(task.failures) > self.retries:
+        delay = retry_delay(len(task.failures), self.retries, self.backoff)
+        if delay is None:
             task.state = "failed"
             history = "; ".join(
                 f"attempt {f.attempt}: {f.kind}: {f.message}"
@@ -351,9 +353,8 @@ class FleetCoordinator:
             self._finish_locked(task)
             self._emit("fleet.failed", task, kind=kind, attempts=task.attempts)
             return "failed"
-        retry_n = len(task.failures)
         task.state = "pending"
-        task.not_before = time.time() + self.backoff * (2 ** (retry_n - 1))
+        task.not_before = time.time() + delay
         self._pending.append(task)
         self._inc_locked("fleet.requeues")
         self._inc_locked("fleet.retries")

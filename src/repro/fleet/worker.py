@@ -4,7 +4,7 @@ A :class:`FleetWorker` is a pull-based execution node: it long-polls
 ``POST /fleet/v1/lease`` on the coordinator, executes each leased job
 through the exact :func:`repro.harness.runner.run_jobs` path every
 other execution mode uses (so payloads are bitwise-identical to a local
-run, and ``REPRO_MEGABATCH`` packing applies to a multi-job lease),
+run, and a multi-job lease packs compatible jobs into one solve),
 publishes the payload into the shared content-addressed result store,
 and reports back with ``POST /fleet/v1/complete``.  A daemon thread
 heartbeats every active lease at the coordinator-provided period.
@@ -201,8 +201,8 @@ class FleetWorker:
     def _execute_batch(self, leases):
         """Run a multi-job lease through one ``run_jobs`` call.
 
-        This is the fleet's mega-batch seam: with ``REPRO_MEGABATCH``
-        on, compatible jobs of one lease round pack into one batched
+        This is the fleet's mega-batch seam: the runner's inline loop
+        packs compatible jobs of one lease round into one batched
         kernel invocation (per-job payloads stay bitwise-identical —
         the runner's contract).  Any failure falls back to the per-job
         path, which also handles fault injection and deep tracing.

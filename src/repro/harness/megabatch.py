@@ -3,58 +3,37 @@
 This is the harness-side half of cross-job kernel packing
 (:mod:`repro.core.megabatch` is the solver-side half): it decides which
 :class:`~repro.harness.runner.SuiteJob` items may share one packed
-solve (:func:`job_pack_key`), chunks them into bounded groups
-(:func:`find_groups`) and executes a group through the packer with
-payloads shaped exactly like :func:`~repro.harness.runner.execute_job`
-(:func:`execute_group`).
+solve (:func:`job_pack_key`), chunks them into groups of at most
+:data:`MAX_GROUP_SIZE` (:func:`find_groups`) and executes a group
+through the packer with payloads shaped exactly like
+:func:`~repro.harness.runner.execute_job` (:func:`execute_group`).
 
-Packing is opt-in (``REPRO_MEGABATCH``; default off) and strictly an
-execution strategy: per-job payloads are bitwise-identical to solo
-solves, so checkpoints, caches and the service result store never see
-the difference.  Only jobs that the packer can prove compatible are
-grouped — ``kind="partition"``, the gradient method, the batched
-engine, the same circuit/planes/refine/pinned and the same config up to
+Packing is strictly an execution strategy: per-job payloads are
+bitwise-identical to solo solves, so checkpoints, caches and the
+service result store never see the difference.  The runner's inline
+attempt loop packs whenever it holds two or more compatible pending
+jobs and no fault plan is active; the pool path never packs.  Only
+jobs that the packer can prove compatible are grouped —
+``kind="partition"``, the gradient method, the batched engine, the
+same circuit/planes/refine/pinned and the same config up to
 ``restarts``/``seed``.  Everything else (plan jobs, the multilevel
-engine, mixed configs) falls through to the normal per-job
-path untouched.
+engine, mixed configs) falls through to the normal per-job path
+untouched.
 """
 
 import hashlib
 import json
 
-from repro import envcfg
 from repro.cache.store import canonical_jsonable
 from repro.core.config import PartitionConfig
 from repro.core.megabatch import SolveSpec, partition_packed
 
-#: Default maximum number of jobs packed into one group.
-DEFAULT_MEGABATCH_LIMIT = 16
+#: Maximum number of jobs packed into one group.
+MAX_GROUP_SIZE = 16
 
 #: Config fields allowed to differ between packed jobs; must match
 #: ``repro.core.megabatch._PACK_FREE_FIELDS``.
 _PACK_FREE_FIELDS = ("restarts", "seed")
-
-
-def megabatch_enabled(enabled=None, environ=None):
-    """Effective packing switch: explicit > ``REPRO_MEGABATCH`` > off."""
-    if enabled is not None:
-        return bool(enabled)
-    return envcfg.flag_enabled("REPRO_MEGABATCH", environ)
-
-
-def resolve_megabatch_limit(limit=None, environ=None):
-    """Group size cap: explicit > ``REPRO_MEGABATCH_LIMIT`` > 16."""
-    if limit is not None:
-        limit = int(limit)
-    else:
-        limit = envcfg.number(
-            "REPRO_MEGABATCH_LIMIT", int, lambda v: v >= 1, "an integer >= 1", environ
-        )
-        if limit is None:
-            limit = DEFAULT_MEGABATCH_LIMIT
-    if limit < 1:
-        limit = 1
-    return limit
 
 
 def _config_key(config):
@@ -101,15 +80,14 @@ def job_pack_key(job):
     )
 
 
-def find_groups(job_list, pending, limit=None):
+def find_groups(job_list, pending):
     """Packable groups (lists of >= 2 job indices) among ``pending``.
 
     Jobs keep their submission order within a group; groups larger than
-    ``limit`` are chunked.  Indices not covered by any returned group
-    (unpackable jobs, singleton keys) are simply not in the output and
-    run through the normal per-job path.
+    :data:`MAX_GROUP_SIZE` are chunked.  Indices not covered by any
+    returned group (unpackable jobs, singleton keys) are simply not in
+    the output and run through the normal per-job path.
     """
-    limit = resolve_megabatch_limit(limit)
     by_key = {}
     for index in pending:
         key = job_pack_key(job_list[index])
@@ -117,10 +95,8 @@ def find_groups(job_list, pending, limit=None):
             by_key.setdefault(key, []).append(index)
     groups = []
     for indices in by_key.values():
-        if len(indices) < 2:
-            continue
-        for start in range(0, len(indices), limit):
-            chunk = indices[start:start + limit]
+        for start in range(0, len(indices), MAX_GROUP_SIZE):
+            chunk = indices[start:start + MAX_GROUP_SIZE]
             if len(chunk) >= 2:
                 groups.append(chunk)
     return groups

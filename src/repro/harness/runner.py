@@ -40,6 +40,12 @@ shape into :class:`SuiteJob` descriptions and fans them out over a
   the caller's active capture via :func:`repro.obs.merge_snapshot`
   (exactly-once per origin, so retries or repeated merges never
   double-count).
+* **mega-batching** — the inline loop runs two or more pending jobs
+  that share a :func:`~repro.harness.megabatch.job_pack_key` as one
+  packed solve (:mod:`repro.harness.megabatch`) when no fault plan is
+  active; payloads are bitwise-identical to solo execution, and a
+  group that fails falls back to the per-job attempts uncharged.  The
+  pool path never packs.
 * **caching synergy** — workers build netlists through
   :func:`repro.circuits.suite.build_circuit`, so they share the on-disk
   artifact cache (:mod:`repro.cache`); a warm cache turns each worker's
@@ -79,7 +85,7 @@ DEFAULT_MAX_JOBS = 8
 DEFAULT_RETRIES = 2
 
 #: Default exponential-backoff base delay in seconds: a job's n-th retry
-#: waits ``backoff * 2**(n-1)`` before resubmission.
+#: waits ``backoff * 2**(n-1)`` before resubmission (:func:`retry_delay`).
 DEFAULT_BACKOFF = 0.05
 
 #: The structured error taxonomy of job-attempt failures.
@@ -139,6 +145,18 @@ def resolve_backoff(backoff=None, environ=None):
         "REPRO_RETRY_BACKOFF", float, lambda v: v >= 0, "a number of seconds >= 0", environ
     )
     return DEFAULT_BACKOFF if value is None else value
+
+
+def retry_delay(failures, retries, backoff):
+    """Delay before retrying a job after its ``failures``-th failed
+    attempt, or ``None`` once that exhausts its ``retries``.
+
+    The one retry policy of the runner and the fleet coordinator:
+    exponential backoff, ``backoff * 2**(n-1)`` before the n-th retry.
+    """
+    if failures > retries:
+        return None
+    return backoff * 2.0 ** (failures - 1)
 
 
 @dataclass(frozen=True)
@@ -501,21 +519,21 @@ class _RunState:
             OBS.metrics.counter(
                 "runner.failures." + kind.replace("-", "_")
             ).inc()
+        delay = retry_delay(attempt, self.retries, self.backoff)
         log = obs_events.default_events()
-        retrying = attempt <= self.retries
         if log.enabled:
             log.emit(
-                "runner.attempt_failed" if retrying else "runner.job_failed",
+                "runner.job_failed" if delay is None else "runner.attempt_failed",
                 circuit=self.job_list[index].circuit,
                 index=index, kind=kind, attempt=attempt,
             )
-        if retrying:
-            self.report.retries += 1
-            if OBS.enabled:
-                OBS.metrics.counter("runner.retries").inc()
-            return self.backoff * (2.0 ** (attempt - 1))
-        self.report.failed_jobs.append(index)
-        return None
+        if delay is None:
+            self.report.failed_jobs.append(index)
+            return None
+        self.report.retries += 1
+        if OBS.enabled:
+            OBS.metrics.counter("runner.retries").inc()
+        return delay
 
     def accept(self, index, payload, snap=None):
         """Record a validated payload (and checkpoint it)."""
@@ -539,8 +557,48 @@ class _RunState:
         return self.attempts.get(index, 0) + 1
 
 
+def _run_packed(state, group):
+    """Run one packed group; True when every payload was accepted.
+
+    Strictly best-effort: a group whose packed solve raises or whose
+    payloads fail validation is abandoned wholesale and charges no
+    attempt, because the failure belongs to the packing optimization,
+    not to any job.  Accepted payloads flow through
+    :meth:`_RunState.accept`, so they checkpoint and count exactly like
+    per-job results.
+    """
+    from repro.harness.megabatch import execute_group
+
+    jobs = [state.job_list[index] for index in group]
+    with OBS.trace.span("runner.megabatch", jobs=len(group)):
+        try:
+            payloads = execute_group(jobs)
+        except Exception:
+            payloads = None
+    if payloads is None or any(
+        validate_payload(job, payload) is not None
+        for job, payload in zip(jobs, payloads)
+    ):
+        if OBS.enabled:
+            OBS.metrics.counter("runner.megabatch.fallbacks").inc()
+        return False
+    for index, payload in zip(group, payloads):
+        state.accept(index, payload)
+    if OBS.enabled:
+        OBS.metrics.counter("runner.megabatch.groups").inc()
+        OBS.metrics.counter("runner.megabatch.packed_jobs").inc(len(group))
+    return True
+
+
 def _run_inline(state, pending, plan):
     """Sequential execution with the same retry/validation semantics.
+
+    Without a fault plan (chaos semantics are defined per job attempt),
+    a pending job first packs with the pending jobs that share its
+    :func:`~repro.harness.megabatch.job_pack_key`, in submission order
+    and at most :data:`~repro.harness.megabatch.MAX_GROUP_SIZE` at a
+    time (:func:`_run_packed`); a lone pending job computes no key.
+    Jobs of a failed group go through the per-job attempts below.
 
     Timeouts are not enforced inline (there is no second process to
     watch the clock); an injected ``hang`` is recorded as a
@@ -548,7 +606,16 @@ def _run_inline(state, pending, plan):
     fast, and ``kill`` degrades to ``crash`` (hard-exiting the caller's
     process would be worse than the fault being simulated).
     """
+    groups = {}
+    if plan is None and len(pending) > 1:
+        from repro.harness.megabatch import find_groups
+
+        groups = {group[0]: group for group in find_groups(state.job_list, pending)}
     for index in pending:
+        if index in state.results:
+            continue  # accepted with its packed group
+        if index in groups and _run_packed(state, groups[index]):
+            continue
         job = state.job_list[index]
         while True:
             attempt = state.next_attempt(index)
@@ -709,52 +776,15 @@ def _run_pool(state, pending, max_workers, capture, timeout, plan, base_ctx=None
             _shutdown_pool(pool, kill=bool(in_flight))
 
 
-def _run_megabatch(state, pending, megabatch_mod):
-    """Execute packable groups inline before normal dispatch.
-
-    Strictly best-effort: a group whose packed solve or validation
-    fails is abandoned wholesale — its jobs stay pending for the
-    retrying per-job path and are not charged an attempt, because the
-    failure belongs to the packing optimization, not to any job.
-    Accepted payloads flow through :meth:`_RunState.accept`, so they
-    checkpoint and count exactly like per-job results.
-    """
-    groups = megabatch_mod.find_groups(state.job_list, pending)
-    if not groups:
-        return
-    with OBS.trace.span("runner.megabatch", groups=len(groups)):
-        for group in groups:
-            jobs = [state.job_list[index] for index in group]
-            try:
-                payloads = megabatch_mod.execute_group(jobs)
-            except KeyboardInterrupt:
-                raise
-            except Exception:
-                if OBS.enabled:
-                    OBS.metrics.counter("runner.megabatch.fallbacks").inc()
-                continue
-            if any(
-                validate_payload(job, payload) is not None
-                for job, payload in zip(jobs, payloads)
-            ):
-                if OBS.enabled:
-                    OBS.metrics.counter("runner.megabatch.fallbacks").inc()
-                continue
-            for index, payload in zip(group, payloads):
-                state.accept(index, payload)
-            if OBS.enabled:
-                OBS.metrics.counter("runner.megabatch.groups").inc()
-                OBS.metrics.counter("runner.megabatch.packed_jobs").inc(len(group))
-
-
 def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
              checkpoint=None, resume=False, fault_plan=None, return_report=False,
-             force_pool=False, megabatch=None):
+             force_pool=False):
     """Execute jobs (inline or in a process pool); payloads in job order.
 
     With an effective worker count of 1 — or a single job — everything
-    runs inline in this process and observability flows straight into
-    the active capture.  Otherwise a ``ProcessPoolExecutor`` runs
+    runs inline in this process, packing compatible jobs into shared
+    solves (see :func:`_run_inline`), and observability flows straight
+    into the active capture.  Otherwise a ``ProcessPoolExecutor`` runs
     :func:`execute_job` per job and worker obs snapshots are merged into
     the caller's active capture in job-index order.
 
@@ -772,7 +802,8 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
     retries:
         Failed attempts are retried up to this many times per job with
         exponential backoff (``backoff * 2**(n-1)`` before the n-th
-        retry).  Default ``REPRO_RETRIES`` env, else 2.
+        retry; :func:`retry_delay`).  Default ``REPRO_RETRIES`` env,
+        else 2.
     checkpoint / resume:
         Path of a JSONL checkpoint (:mod:`repro.harness.checkpoint`).
         Completed payloads are appended as they arrive; with
@@ -791,14 +822,6 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
         enforceable per-job deadlines (a hung inline job cannot be
         interrupted), so the partitioning service uses this for its
         ``REPRO_SERVICE_ISOLATION=process`` mode.
-    megabatch:
-        Pack compatible partition jobs into shared kernel invocations
-        before normal dispatch (:mod:`repro.harness.megabatch`).
-        ``None`` consults ``REPRO_MEGABATCH`` (default off).  Packed
-        payloads are bitwise-identical to solo execution; a group that
-        fails for any reason falls back to the per-job path without
-        charging attempts.  Skipped entirely when a fault plan is
-        active — chaos semantics are defined per job attempt.
 
     Raises
     ------
@@ -846,13 +869,6 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
                 OBS.metrics.counter("runner.checkpoint.loaded").inc(report.from_checkpoint)
 
     pending = [index for index in range(len(job_list)) if index not in state.results]
-
-    if pending and fault_plan is None:
-        from repro.harness import megabatch as megabatch_mod
-
-        if megabatch_mod.megabatch_enabled(megabatch):
-            _run_megabatch(state, pending, megabatch_mod)
-            pending = [index for index in pending if index not in state.results]
 
     if OBS.enabled:
         OBS.metrics.counter("runner.jobs_submitted").inc(len(job_list))

@@ -16,6 +16,11 @@
   :func:`repro.harness.runner.run_jobs` path (retries + failure
   taxonomy; ``isolation="process"`` additionally forces the process
   pool for crash isolation and enforceable deadlines);
+* queue draining — with ``REPRO_MEGABATCH`` on (inline isolation, no
+  deep tracing, no fault plan) a worker takes the queued jobs that share
+  the head job's :func:`~repro.harness.megabatch.job_pack_key` as one
+  batch, which the runner solves packed; solo, sweep and drained jobs
+  share one lifecycle (:meth:`JobManager._execute`);
 * best-effort cancellation: a queued job is dropped before it runs, a
   running job finishes (inline solves cannot be interrupted).
 
@@ -27,8 +32,9 @@ Observability (this PR's substrate; see docs/observability.md):
 * every lifecycle transition emits into the server's
   :class:`~repro.obs.events.EventLog` (``queued`` → ``leased`` →
   ``solving`` → ``solved`` → ``stored`` → ``done`` / ``failed`` /
-  ``cancelled``), stamped with the job's trace context when one was
-  attached at submit;
+  ``cancelled``; ``store_failed`` replaces ``stored`` when the result
+  store write raises), stamped with the job's trace context when one
+  was attached at submit;
 * per-phase latency histograms (``service.job.queue_wait_seconds`` /
   ``solve_seconds`` / ``finalize_seconds`` / ``store_seconds``) feed
   the Prometheus exposition of ``GET /metrics``;
@@ -52,12 +58,13 @@ import time
 import uuid
 from collections import deque
 
+from repro import envcfg
 from repro.harness import faults as fault_mod
-from repro.harness import megabatch as megabatch_mod
 from repro.harness.checkpoint import payload_to_jsonable
+from repro.harness.megabatch import MAX_GROUP_SIZE, job_pack_key
 from repro.harness.runner import run_jobs
 from repro.obs import OBS, TraceContext, capture, merge_snapshot
-from repro.service.api import pack_signature, request_to_job
+from repro.service.api import request_to_job
 from repro.service.errors import (
     NotFoundError,
     QueueFullError,
@@ -130,8 +137,7 @@ class JobManager:
     def __init__(self, workers=1, queue_size=64, timeout=None, retries=None,
                  backoff=None, isolation="inline", store=None, retry_after=1,
                  fault_plan=None, metrics=None, megabatch=None,
-                 megabatch_limit=None, events=None, tracing=False,
-                 trace_sink=None, fleet=None):
+                 events=None, tracing=False, trace_sink=None, fleet=None):
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
         if queue_size < 1:
@@ -159,17 +165,16 @@ class JobManager:
         self.events = events          # EventLog (or None: no event emission)
         self.tracing = bool(tracing)  # deep per-request solver tracing
         self.trace_sink = trace_sink  # callable(snapshot) per traced job
-        # Mega-batching is inline-only: the packed solve runs in the
-        # worker thread, which would silently bypass the crash
+        # Draining the queue into one packed solve (explicit >
+        # REPRO_MEGABATCH > off) trades the head job's latency for
+        # group throughput.  It is inline-only: the packed solve runs in
+        # the worker thread, which would silently bypass the crash
         # isolation and enforceable deadlines process isolation buys.
         # Deep tracing also disables it — a packed group has no single
         # originating request to parent its spans under.
-        self.megabatch = (
-            megabatch_mod.megabatch_enabled(megabatch)
-            and isolation == "inline"
-            and not self.tracing
-        )
-        self.megabatch_limit = megabatch_mod.resolve_megabatch_limit(megabatch_limit)
+        if megabatch is None:
+            megabatch = envcfg.flag_enabled("REPRO_MEGABATCH")
+        self.megabatch = bool(megabatch) and isolation == "inline" and not self.tracing
 
         self._cond = threading.Condition()
         self._queue = deque()           # Jobs admitted but not yet running
@@ -422,109 +427,50 @@ class JobManager:
             if evicted != job.id:
                 self._jobs.pop(evicted, None)
 
-    def _next_job(self):
+    def _fault_plan(self):
+        if self.fault_plan is not None:
+            return self.fault_plan
+        return fault_mod.plan_from_env()
+
+    def _next_batch(self):
+        """Pop the next job plus any queued jobs the runner can pack with it.
+
+        Without draining — mega-batching off, or a fault plan active
+        (chaos semantics are per job) — this is a one-job batch.  With
+        it, the queue is drained of jobs whose
+        :func:`~repro.harness.megabatch.job_pack_key` matches the head
+        job's (at most ``MAX_GROUP_SIZE`` in all); non-matching jobs
+        keep their relative order at the front of the queue.
+        """
+        drain = self.megabatch and self._fault_plan() is None
         with self._cond:
             while self._running and not self._queue:
                 self._cond.wait(timeout=0.2)
             if not self._running:
                 return None
-            job = self._queue.popleft()
-            job.state = "running"
-            job.started_at = time.time()
-            return job
-
-    def _next_batch(self):
-        """Pop the next job plus any queued jobs packable with it.
-
-        With mega-batching off this degenerates to a one-job batch.
-        With it on, the queue is drained of jobs whose
-        :func:`~repro.service.api.pack_signature` matches the head
-        job's (up to ``megabatch_limit``); non-matching jobs keep
-        their relative order at the front of the queue.
-        """
-        job = self._next_job()
-        if job is None:
-            return None
-        batch = [job]
-        if self.megabatch:
-            with self._cond:
-                signature = pack_signature(job.request)
-                if signature is not None and self._queue:
-                    keep = deque()
-                    while self._queue and len(batch) < self.megabatch_limit:
-                        candidate = self._queue.popleft()
-                        if pack_signature(candidate.request) == signature:
-                            candidate.state = "running"
-                            candidate.started_at = time.time()
-                            batch.append(candidate)
-                        else:
-                            keep.append(candidate)
-                    while keep:
-                        self._queue.appendleft(keep.pop())
-        return batch
+            batch = [self._queue.popleft()]
+            key = _pack_key(batch[0].request) if drain else None
+            if key is not None:
+                keep = deque()
+                while self._queue and len(batch) < MAX_GROUP_SIZE:
+                    candidate = self._queue.popleft()
+                    if _pack_key(candidate.request) == key:
+                        batch.append(candidate)
+                    else:
+                        keep.append(candidate)
+                self._queue.extendleft(reversed(keep))
+            now = time.time()
+            for job in batch:
+                job.state = "running"
+                job.started_at = now
+            return batch
 
     def _worker_loop(self):
         while True:
             batch = self._next_batch()
             if batch is None:
                 return
-            if len(batch) == 1:
-                self._execute(batch[0])
-            else:
-                self._execute_batch(batch)
-
-    def _execute_batch(self, jobs):
-        """Run a packed group of compatible jobs as one solve.
-
-        Per-job payloads are bitwise-identical to solo execution (the
-        runner's mega-batch contract), so the result store and clients
-        never observe the difference.  When a fault plan is active
-        (chaos semantics are per-job) or the packed run fails for any
-        reason, every job re-runs through the solo :meth:`_execute`
-        path — nothing has been finished at that point, so the
-        fallback is clean.
-        """
-        fault_plan = self.fault_plan
-        if fault_plan is None:
-            fault_plan = fault_mod.plan_from_env()
-        if fault_plan is not None:
-            for job in jobs:
-                self._execute(job)
-            return
-        for job in jobs:
-            queue_wait = max(
-                0.0, (job.started_at or time.time()) - job.submitted_at)
-            self._observe("service.job.queue_wait_seconds", queue_wait)
-            self._emit(job, "leased", queue_wait_s=round(queue_wait, 6))
-            self._emit(job, "solving", batched=True, group_size=len(jobs))
-        try:
-            suite_jobs = [request_to_job(job.request) for job in jobs]
-            with self._scope(None, f"service/{jobs[0].id}/batch"):
-                payloads = run_jobs(
-                    suite_jobs,
-                    jobs=1,
-                    timeout=self.timeout,
-                    retries=self.retries,
-                    backoff=self.backoff,
-                    megabatch=True,
-                )
-            jsonables = [payload_to_jsonable(payload) for payload in payloads]
-        except Exception:
-            self._inc("service.megabatch.fallbacks")
-            for job in jobs:
-                self._execute(job)
-            return
-        self._inc("service.megabatch.groups")
-        self._inc("service.megabatch.packed_jobs", len(jobs))
-        for job, payload, jsonable in zip(jobs, payloads, jsonables):
-            if self.store is not None:
-                self.store.put(job.key, payload, meta={"request": job.request})
-                self._inc("service.store.writes")
-                self._emit(job, "stored")
-            with self._cond:
-                self._finish_locked(job, "done", payload=jsonable)
-                self._inc_locked("service.jobs.completed")
-            self._emit(job, "done", batched=True)
+            self._execute(batch)
 
     def _trace_ctx(self, job):
         """The job's span context under deep tracing, else ``None``."""
@@ -555,27 +501,60 @@ class JobManager:
             else:
                 merge_snapshot(snap)
 
-    def _solve(self, suite_job, fault_plan, job):
-        """One job's solve: its payload list, from a local run or the fleet.
+    def _solve(self, batch):
+        """The lifecycle's one kind-specific step.
 
-        ``isolation="fleet"`` dispatches instead of solving: the job is
-        queued on the :class:`~repro.fleet.coordinator.FleetCoordinator`
-        and this worker thread blocks until a worker node resolves it
-        (the coordinator owns leases, heartbeat expiry, retry/backoff
-        accounting and payload validation).  Fault plans are *not*
-        applied coordinator-side — worker nodes honor their own
-        ``REPRO_FAULT`` environment, which is the whole point of the
-        worker-kill chaos story.
+        Returns the batch's payloads, the phase histograms its time goes
+        to and extra ``solved`` event attributes.  Partition, plan and
+        ECO jobs run through one :func:`run_jobs` call, which packs a
+        drained group, or are dispatched to the fleet.  A sweep fans its
+        grid through :func:`~repro.harness.pareto.execute_sweep`.
         """
-        if self.isolation == "fleet":
-            return self._solve_fleet(suite_job, job)
-        return run_jobs([suite_job], jobs=1, timeout=self.timeout,
-                        retries=self.retries, backoff=self.backoff,
-                        fault_plan=fault_plan,
-                        force_pool=self.isolation == "process")
+        request = batch[0].request
+        run_kwargs = dict(timeout=self.timeout, retries=self.retries,
+                          backoff=self.backoff, fault_plan=self._fault_plan(),
+                          force_pool=self.isolation == "process")
+        if request.get("kind") == "sweep":
+            from repro.harness.pareto import execute_sweep
+
+            with OBS.trace.span("sweep"):
+                payload, stats = execute_sweep(
+                    request, store=self.store, run_kwargs=run_kwargs)
+            self._inc("service.sweep.points", stats["points"])
+            self._inc("service.sweep.point_cache_hits", stats["cache_hits"])
+            self._inc("service.sweep.solved", stats["solved"])
+            self._inc("service.sweep.skipped_k", stats["skipped_k"])
+            if self.store is not None:
+                self._inc("service.store.writes", stats["solved"])
+            solved = {"points": stats["points"], "cache_hits": stats["cache_hits"]}
+            return [payload], ("service.job.sweep_seconds",), solved
+        suite_jobs = [request_to_job(job.request) for job in batch]
+        with OBS.trace.span("solve"):
+            if self.isolation == "fleet":
+                payloads = [self._solve_fleet(suite_jobs[0], batch[0])]
+            else:
+                payloads = run_jobs(suite_jobs, jobs=1, **run_kwargs)
+        if request.get("kind") != "eco":
+            return payloads, ("service.job.solve_seconds",), {}
+        # Edit-to-answer phase histogram + warm/cold split of the
+        # incremental path (docs/eco.md).
+        mode = ((payloads[0] or {}).get("eco") or {}).get("mode")
+        if mode == "warm":
+            self._inc("service.eco.warm")
+        elif mode == "cold":
+            self._inc("service.eco.cold_fallbacks")
+        return payloads, ("service.job.solve_seconds", "service.job.eco_seconds"), {}
 
     def _solve_fleet(self, suite_job, job):
         """Dispatch one job to the fleet and wait for its resolution.
+
+        The job is queued on the
+        :class:`~repro.fleet.coordinator.FleetCoordinator`, which owns
+        leases, heartbeat expiry, retry/backoff accounting and payload
+        validation, and this worker thread blocks until a worker node
+        resolves it.  Fault plans are *not* applied coordinator-side —
+        worker nodes honor their own ``REPRO_FAULT`` environment, which
+        is the whole point of the worker-kill chaos story.
 
         Raises :class:`ReproError` when the fleet exhausted the job's
         retries (the normal failed-job path picks that up).  Under deep
@@ -598,121 +577,96 @@ class JobManager:
         payload, snapshot = task.wait(timeout=deadline)
         if snapshot is not None:
             merge_snapshot(snapshot)
-        return [payload]
+        return payload
 
-    def _execute(self, job):
-        if job.request.get("kind") == "sweep":
-            self._execute_sweep(job)
-            return
-        fault_plan = self.fault_plan
-        if fault_plan is None:
-            fault_plan = fault_mod.plan_from_env()
-        queue_wait = max(0.0, (job.started_at or time.time()) - job.submitted_at)
-        self._observe("service.job.queue_wait_seconds", queue_wait)
-        self._emit(job, "leased", queue_wait_s=round(queue_wait, 6))
-        ctx = self._trace_ctx(job)
-        try:
-            with self._scope(ctx, f"service/{job.id}"), OBS.trace.span(
-                    "service.job", ctx=ctx, job=job.id,
-                    circuit=job.request.get("circuit")):
-                suite_job = request_to_job(job.request)
-                self._emit(job, "solving")
-                started = time.perf_counter()
-                with OBS.trace.span("solve"):
-                    payloads = self._solve(suite_job, fault_plan, job)
-                solve_s = time.perf_counter() - started
-                self._observe("service.job.solve_seconds", solve_s)
-                self._emit(job, "solved", solve_s=round(solve_s, 6))
-                if job.request.get("kind") == "eco":
-                    # Edit-to-answer phase histogram + warm/cold split
-                    # of the incremental path (docs/eco.md).
-                    self._observe("service.job.eco_seconds", solve_s)
-                    info = (payloads[0] or {}).get("eco") or {}
-                    if info.get("mode") == "warm":
-                        self._inc("service.eco.warm")
-                    elif info.get("mode") == "cold":
-                        self._inc("service.eco.cold_fallbacks")
-                started = time.perf_counter()
-                with OBS.trace.span("finalize"):
-                    payload = payload_to_jsonable(payloads[0])
-                self._observe("service.job.finalize_seconds",
-                              time.perf_counter() - started)
-                if self.store is not None:
-                    started = time.perf_counter()
-                    with OBS.trace.span("store"):
-                        self.store.put(job.key, payloads[0],
-                                       meta={"request": job.request})
-                    store_s = time.perf_counter() - started
-                    self._observe("service.job.store_seconds", store_s)
-                    self._inc("service.store.writes")
-                    self._emit(job, "stored", store_s=round(store_s, 6))
-        except ReproError as error:
-            with self._cond:
-                self._finish_locked(job, "failed", error=str(error))
-                self._inc_locked("service.jobs.failed")
-            self._emit(job, "failed", error=str(error))
-            return
-        with self._cond:
-            self._finish_locked(job, "done", payload=payload)
-            self._inc_locked("service.jobs.completed")
-        self._emit(job, "done")
+    def _execute(self, batch):
+        """Run one job, or a drained group, through the job lifecycle.
 
-    def _execute_sweep(self, job):
-        """One ``kind="sweep"`` job: fan the K x ratio grid, store points.
-
-        Grid points are the exact solo partition requests a client could
-        POST, keyed and stored individually through the result store, so
-        sweeps and solo jobs dedupe against each other bitwise; only the
-        misses fan through :func:`run_jobs`.
+        Queue wait and ``leased``; then, in the capture scope and the
+        ``service.job`` span, ``solving``, the solve step (:meth:`_solve`,
+        the only part that differs by kind), ``solved`` and each job's
+        ``finalize`` and ``store`` phases; then ``done``.  A solo job
+        whose lifecycle raises ends ``failed``; a group that raises
+        re-runs each of its jobs alone.
         """
-        from repro.harness.pareto import execute_sweep
-
-        fault_plan = self.fault_plan
-        if fault_plan is None:
-            fault_plan = fault_mod.plan_from_env()
-        queue_wait = max(0.0, (job.started_at or time.time()) - job.submitted_at)
-        self._observe("service.job.queue_wait_seconds", queue_wait)
-        self._emit(job, "leased", queue_wait_s=round(queue_wait, 6))
-        ctx = self._trace_ctx(job)
+        for job in batch:
+            queue_wait = max(0.0, job.started_at - job.submitted_at)
+            self._observe("service.job.queue_wait_seconds", queue_wait)
+            self._emit(job, "leased", queue_wait_s=round(queue_wait, 6))
+        head = batch[0]
+        packed = len(batch) > 1
+        ctx = self._trace_ctx(head)
+        origin = f"service/{head.id}" + ("/batch" if packed else "")
+        group = {"batched": True, "group_size": len(batch)} if packed else {}
         try:
-            with self._scope(ctx, f"service/{job.id}"), OBS.trace.span(
-                    "service.job", ctx=ctx, job=job.id,
-                    circuit=job.request.get("circuit")):
-                self._emit(job, "solving")
+            with self._scope(ctx, origin), OBS.trace.span(
+                    "service.job", ctx=ctx, job=head.id,
+                    circuit=head.request.get("circuit")):
+                for job in batch:
+                    self._emit(job, "solving", **group)
                 started = time.perf_counter()
-                run_kwargs = dict(timeout=self.timeout, retries=self.retries,
-                                  backoff=self.backoff, fault_plan=fault_plan,
-                                  force_pool=self.isolation == "process")
-                with OBS.trace.span("sweep"):
-                    payload, stats = execute_sweep(
-                        job.request, store=self.store, run_kwargs=run_kwargs)
-                sweep_s = time.perf_counter() - started
-                self._observe("service.job.sweep_seconds", sweep_s)
-                self._inc("service.sweep.points", stats["points"])
-                self._inc("service.sweep.point_cache_hits", stats["cache_hits"])
-                self._inc("service.sweep.solved", stats["solved"])
-                self._inc("service.sweep.skipped_k", stats["skipped_k"])
-                if self.store is not None:
-                    self._inc("service.store.writes", stats["solved"])
-                self._emit(job, "solved", solve_s=round(sweep_s, 6),
-                           points=stats["points"], cache_hits=stats["cache_hits"])
-                payload = payload_to_jsonable(payload)
-                if self.store is not None:
-                    started = time.perf_counter()
-                    with OBS.trace.span("store"):
-                        self.store.put(job.key, payload,
-                                       meta={"request": job.request})
-                    store_s = time.perf_counter() - started
-                    self._observe("service.job.store_seconds", store_s)
-                    self._inc("service.store.writes")
-                    self._emit(job, "stored", store_s=round(store_s, 6))
-        except ReproError as error:
+                payloads, histograms, solved = self._solve(batch)
+                solve_s = time.perf_counter() - started
+                for job in batch:
+                    for name in histograms:
+                        self._observe(name, solve_s)
+                    self._emit(job, "solved", solve_s=round(solve_s, 6), **solved)
+                results = [
+                    self._finalize(job, payload)
+                    for job, payload in zip(batch, payloads)
+                ]
+        except Exception as error:
+            if packed:
+                self._inc("service.megabatch.fallbacks")
+                for job in batch:
+                    self._execute([job])
+                return
+            # The worker must keep serving the queue whatever the solve
+            # raised; an unexpected error keeps its type in the message.
+            message = str(error) if isinstance(error, ReproError) else repr(error)
             with self._cond:
-                self._finish_locked(job, "failed", error=str(error))
+                self._finish_locked(head, "failed", error=message)
                 self._inc_locked("service.jobs.failed")
-            self._emit(job, "failed", error=str(error))
+            self._emit(head, "failed", error=message)
             return
-        with self._cond:
-            self._finish_locked(job, "done", payload=payload)
-            self._inc_locked("service.jobs.completed")
-        self._emit(job, "done")
+        if packed:
+            self._inc("service.megabatch.groups")
+            self._inc("service.megabatch.packed_jobs", len(batch))
+        for job, payload in zip(batch, results):
+            with self._cond:
+                self._finish_locked(job, "done", payload=payload)
+                self._inc_locked("service.jobs.completed")
+            self._emit(job, "done")
+
+    def _finalize(self, job, payload):
+        """One job's ``finalize`` and ``store`` phases; its JSON payload.
+
+        The result store is a cache: a write that raises costs a future
+        hit, not this result, so the job still finishes ``done`` and a
+        ``store_failed`` event replaces ``stored``.
+        """
+        started = time.perf_counter()
+        with OBS.trace.span("finalize"):
+            jsonable = payload_to_jsonable(payload)
+        self._observe("service.job.finalize_seconds", time.perf_counter() - started)
+        if self.store is None:
+            return jsonable
+        started = time.perf_counter()
+        try:
+            with OBS.trace.span("store"):
+                self.store.put(job.key, payload, meta={"request": job.request})
+        except Exception as error:
+            self._emit(job, "store_failed", error=str(error))
+            return jsonable
+        store_s = time.perf_counter() - started
+        self._observe("service.job.store_seconds", store_s)
+        self._inc("service.store.writes")
+        self._emit(job, "stored", store_s=round(store_s, 6))
+        return jsonable
+
+
+def _pack_key(request):
+    """The runner's pack key of a queued request (``None``: runs solo)."""
+    if request.get("kind") != "partition":
+        return None
+    return job_pack_key(request_to_job(request))

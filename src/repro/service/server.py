@@ -206,8 +206,7 @@ class PartitionService:
     def __init__(self, workers=None, queue_size=None, timeout=None,
                  retries=None, backoff=None, isolation=None, store=None,
                  retry_after=None, fault_plan=None, megabatch=None,
-                 megabatch_limit=None, events=None, tracing=False,
-                 lease_ttl=None, heartbeat=None):
+                 events=None, tracing=False, lease_ttl=None, heartbeat=None):
         self.metrics = MetricsRegistry()
         self.tracer = Tracer()
         self.tracer.enabled = True
@@ -240,7 +239,6 @@ class PartitionService:
             fault_plan=fault_plan,
             metrics=self.metrics,
             megabatch=megabatch,
-            megabatch_limit=megabatch_limit,
             events=self.events if self.events.enabled else None,
             tracing=tracing,
             trace_sink=self.absorb,

@@ -3,8 +3,8 @@
 The one property that makes packing legal is bitwise invisibility:
 every payload a packed execution produces must equal the solo payload
 for the same job.  These tests pin that from the core packer
-(:mod:`repro.core.megabatch`) through the runner hook
-(``run_jobs(megabatch=True)``) to the service drain loop
+(:mod:`repro.core.megabatch`) through the runner's inline loop
+(``run_jobs(..., jobs=1)``) to the service drain loop
 (:class:`~repro.service.jobs.JobManager`), including ragged restart
 counts, single-job groups and pinned constraints.
 """
@@ -15,14 +15,11 @@ import pytest
 from repro.core.config import PartitionConfig
 from repro.core.megabatch import SolveSpec, partition_packed, partition_solo
 from repro.core.partitioner import partition
-from repro.harness.megabatch import (
-    DEFAULT_MEGABATCH_LIMIT,
-    find_groups,
-    job_pack_key,
-    megabatch_enabled,
-    resolve_megabatch_limit,
-)
-from repro.harness.runner import SuiteJob, run_jobs
+import repro.harness.megabatch as megabatch_mod
+from repro.harness.checkpoint import payload_to_jsonable
+from repro.harness.faults import FaultPlan
+from repro.harness.megabatch import find_groups, job_pack_key
+from repro.harness.runner import SuiteJob, execute_job, run_jobs
 from repro.utils.errors import PartitionError
 
 FAST = PartitionConfig(restarts=2, max_iterations=200, seed=0)
@@ -175,69 +172,119 @@ def test_job_pack_key_separates_distinct_problems():
     assert job_pack_key(_job(config=FAST.with_(max_iterations=77))) != base
 
 
-def test_find_groups_chunks_and_drops_singletons():
+def test_find_groups_chunks_and_drops_singletons(monkeypatch):
+    monkeypatch.setattr(megabatch_mod, "MAX_GROUP_SIZE", 3)
     jobs = [_job(seed=i) for i in range(5)]            # one key, 5 jobs
     jobs.append(_job(circuit="KSA8", seed=0))          # singleton key
     jobs.append(SuiteJob(kind="plan", circuit="KSA4"))  # unpackable
-    groups = find_groups(jobs, list(range(len(jobs))), limit=3)
+    groups = find_groups(jobs, list(range(len(jobs))))
     assert groups == [[0, 1, 2], [3, 4]]
     # A chunk remainder of one job is not worth a packed solve.
-    groups = find_groups(jobs, [0, 1, 2, 3], limit=3)
+    groups = find_groups(jobs, [0, 1, 2, 3])
     assert groups == [[0, 1, 2]]
 
 
-def test_megabatch_env_resolution():
-    assert megabatch_enabled(True, {}) is True
-    assert megabatch_enabled(None, {}) is False
-    assert megabatch_enabled(None, {"REPRO_MEGABATCH": "1"}) is True
-    assert megabatch_enabled(False, {"REPRO_MEGABATCH": "1"}) is False
-    assert resolve_megabatch_limit(None, {}) == DEFAULT_MEGABATCH_LIMIT
-    assert resolve_megabatch_limit(4, {}) == 4
-    assert resolve_megabatch_limit(None, {"REPRO_MEGABATCH_LIMIT": "3"}) == 3
+def test_megabatch_env_resolution(monkeypatch):
+    """Only the service drain reads REPRO_MEGABATCH: explicit > env > off."""
+    from repro.service.jobs import JobManager
+
+    monkeypatch.delenv("REPRO_MEGABATCH", raising=False)
+    assert JobManager(megabatch=True).megabatch is True
+    assert JobManager().megabatch is False
+    monkeypatch.setenv("REPRO_MEGABATCH", "1")
+    assert JobManager().megabatch is True
+    assert JobManager(megabatch=False).megabatch is False
 
 
 # ----------------------------------------------------------------------
-# Runner hook: run_jobs(megabatch=True) payload identity
+# Runner: the inline loop packs by job_pack_key
 # ----------------------------------------------------------------------
-def test_run_jobs_megabatch_payloads_identical():
-    from repro.harness.checkpoint import payload_to_jsonable
+def _jsonable(payloads):
+    return [payload_to_jsonable(payload) for payload in payloads]
 
+
+@pytest.fixture()
+def packed_groups(monkeypatch):
+    """Sizes of the groups the runner hands to ``execute_group``."""
+    sizes = []
+    execute_group = megabatch_mod.execute_group
+
+    def spy(jobs):
+        sizes.append(len(jobs))
+        return execute_group(jobs)
+
+    monkeypatch.setattr(megabatch_mod, "execute_group", spy)
+    return sizes
+
+
+def test_run_jobs_megabatch_payloads_identical(packed_groups):
     jobs = [_job(seed=seed) for seed in range(3)]
     jobs.append(_job(planes=2, seed=0))  # singleton: solo path inside
     jobs.append(_job(seed=1, refine=True))
-    solo = run_jobs(jobs, jobs=1, megabatch=False)
-    packed = run_jobs(jobs, jobs=1, megabatch=True)
-    assert [payload_to_jsonable(p) for p in solo] == [
-        payload_to_jsonable(p) for p in packed
-    ]
+    packed = run_jobs(jobs, jobs=1)
+    assert packed_groups == [3]
+    assert _jsonable(packed) == _jsonable(execute_job(job) for job in jobs)
 
 
-def test_run_jobs_megabatch_disabled_by_default(monkeypatch):
-    """Without the flag or argument, run_jobs never imports the packer."""
-    import repro.harness.megabatch as megabatch_mod
+def test_run_jobs_does_not_pack_under_a_fault_plan(packed_groups):
+    jobs = [_job(seed=0), _job(seed=1)]
+    payloads = run_jobs(jobs, jobs=1, fault_plan=FaultPlan.parse("crash@7"))
+    assert packed_groups == []
+    assert _jsonable(payloads) == _jsonable(execute_job(job) for job in jobs)
 
-    monkeypatch.delenv("REPRO_MEGABATCH", raising=False)
+
+def test_run_jobs_pool_path_does_not_pack(monkeypatch):
     monkeypatch.setattr(
         megabatch_mod, "find_groups",
-        lambda *a, **k: pytest.fail("packing ran while disabled"),
+        lambda *a, **k: pytest.fail("the pool path packed"),
     )
-    payloads = run_jobs([_job(seed=0), _job(seed=1)], jobs=1)
-    assert len(payloads) == 2
+    jobs = [_job(seed=0), _job(seed=1)]
+    payloads = run_jobs(jobs, jobs=2)
+    assert _jsonable(payloads) == _jsonable(execute_job(job) for job in jobs)
+
+
+def test_lone_pending_job_computes_no_pack_key(monkeypatch):
+    monkeypatch.setattr(
+        megabatch_mod, "job_pack_key",
+        lambda *a, **k: pytest.fail("a lone job computed a pack key"),
+    )
+    job = _job(seed=0)
+    payloads = run_jobs([job], jobs=1)
+    assert _jsonable(payloads) == _jsonable([execute_job(job)])
+
+
+def test_failed_group_falls_back_to_uncharged_per_job_attempts(monkeypatch):
+    groups = []
+
+    def broken(jobs):
+        groups.append(len(jobs))
+        raise RuntimeError("packed solve failed")
+
+    monkeypatch.setattr(megabatch_mod, "execute_group", broken)
+    jobs = [_job(seed=0), _job(seed=1)]
+    payloads, report = run_jobs(jobs, jobs=1, retries=0, return_report=True)
+    assert groups == [2]
+    assert report.failures == [] and report.executed == 2
+    assert _jsonable(payloads) == _jsonable(execute_job(job) for job in jobs)
 
 
 # ----------------------------------------------------------------------
 # Service drain loop
 # ----------------------------------------------------------------------
-def test_job_manager_megabatch_drains_compatible_queue():
+def test_job_manager_megabatch_drains_compatible_queue(tmp_path):
     from repro.obs import MetricsRegistry
+    from repro.obs.events import EventLog
     from repro.service.api import request_key, validate_request
     from repro.service.jobs import JobManager
+    from repro.service.store import ResultStore
 
     def submit_all(megabatch):
         metrics = MetricsRegistry()
+        events = EventLog()
         mgr = JobManager(
             workers=1, queue_size=16, retries=0, backoff=0.0,
-            metrics=metrics, megabatch=megabatch,
+            metrics=metrics, megabatch=megabatch, events=events,
+            store=ResultStore(root=str(tmp_path / str(megabatch)), enabled=True),
         )
         jobs = []
         for seed in range(4):
@@ -259,14 +306,23 @@ def test_job_manager_megabatch_drains_compatible_queue():
                 assert job.state == "done"
         finally:
             mgr.stop()
-        return [job.payload for job in jobs], metrics
+        sequences = [
+            [event["event"] for event in events.for_job(job.id)] for job in jobs
+        ]
+        return [job.payload for job in jobs], sequences, metrics.as_dict()
 
-    solo_payloads, _ = submit_all(False)
-    packed_payloads, metrics = submit_all(True)
+    solo_payloads, solo_sequences, _ = submit_all(False)
+    packed_payloads, packed_sequences, snapshot = submit_all(True)
     assert solo_payloads == packed_payloads
-    snapshot = metrics.as_dict()
-    assert snapshot["service.megabatch.groups"]["value"] >= 1
-    assert snapshot["service.megabatch.packed_jobs"]["value"] >= 2
+    assert snapshot["service.megabatch.groups"]["value"] == 1
+    assert snapshot["service.megabatch.packed_jobs"]["value"] == 4
+    # A packed job lives through the same lifecycle as a solo job.
+    assert packed_sequences == solo_sequences
+    assert solo_sequences[0] == [
+        "queued", "leased", "solving", "solved", "stored", "done"
+    ]
+    for phase in ("queue_wait", "solve", "finalize", "store"):
+        assert snapshot[f"service.job.{phase}_seconds"]["count"] == 5
 
 
 def test_job_manager_megabatch_forced_off_for_process_isolation():

@@ -177,18 +177,17 @@ def test_pool_workers_reparent_under_the_parent_context():
 
 def test_megabatch_snapshot_round_trip_preserves_ctx_events():
     """A mega-batch group's capture snapshots and merges losslessly."""
-    from repro.harness.runner import SuiteJob, run_jobs
+    from repro.harness.runner import SuiteJob, execute_job, run_jobs
 
-    obs.enable()
-    OBS.trace.context = TraceContext.new()
     jobs = [
         SuiteJob(kind="partition", circuit="KSA4", num_planes=3, seed=s)
         for s in (1, 2)
     ]
-    solo = run_jobs(jobs, jobs=1, retries=0)
-    obs.reset()
+    solo = [execute_job(job) for job in jobs]
+    obs.enable()
     OBS.trace.context = TraceContext.new()
-    packed = run_jobs(jobs, jobs=1, retries=0, megabatch=True)
+    packed = run_jobs(jobs, jobs=1, retries=0)
+    assert OBS.metrics.counter("runner.megabatch.packed_jobs").value == 2
     import numpy as np
 
     for a, b in zip(solo, packed):

@@ -73,6 +73,49 @@ def test_store_hit_short_circuits_queue(tmp_path):
         mgr.stop()
 
 
+def test_failed_store_write_keeps_worker_and_finishes_job(tmp_path):
+    """The store is a cache: a write that raises must not strand the job."""
+    from repro.obs.events import EventLog
+
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    events = EventLog()
+    store = ResultStore(root=str(blocker), enabled=True)
+    mgr = JobManager(workers=1, queue_size=4, retries=0, store=store,
+                     events=events).start()
+    try:
+        jobs = [mgr.submit(*_request(seed=seed))[0] for seed in (1, 2)]
+        assert mgr.drain(timeout=60)
+        for job in jobs:
+            assert job.state == "done"
+            assert job.payload["circuit"] == "KSA4"
+            names = [event["event"] for event in events.for_job(job.id)]
+            assert names[-2:] == ["store_failed", "done"]
+            assert "stored" not in names
+        assert all(thread.is_alive() for thread in mgr._threads)
+    finally:
+        mgr.stop()
+
+
+def test_unexpected_solve_error_fails_job_and_keeps_worker(monkeypatch):
+    import repro.service.jobs as jobs_mod
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr(jobs_mod, "run_jobs", broken)
+    mgr = JobManager(workers=1, queue_size=4, retries=0).start()
+    try:
+        jobs = [mgr.submit(*_request(seed=seed))[0] for seed in (1, 2)]
+        assert mgr.drain(timeout=60)
+        for job in jobs:
+            assert job.state == "failed"
+            assert job.error == "RuntimeError('solver bug')"
+        assert all(thread.is_alive() for thread in mgr._threads)
+    finally:
+        mgr.stop()
+
+
 def test_cancel_queued_job():
     mgr = JobManager(workers=1, queue_size=4)
     key, normalized = _request()

@@ -19,14 +19,7 @@ from repro.core.assignment import (
 )
 from repro.core.cost import CostTerms, cost_terms, total_cost, integer_cost
 from repro.core.gradients import cost_gradient
-from repro.core.kernel import (
-    SPARSE_INCIDENCE_THRESHOLD,
-    BatchedCostTerms,
-    EdgeIncidence,
-    FusedKernel,
-    SparseEdgeIncidence,
-    build_incidence,
-)
+from repro.core.kernel import BatchedCostTerms, EdgeIncidence, FusedKernel
 from repro.core.megabatch import SolveSpec, partition_packed
 from repro.core.optimizer import (
     GradientDescentTrace,
@@ -50,9 +43,6 @@ __all__ = [
     "cost_gradient",
     "BatchedCostTerms",
     "EdgeIncidence",
-    "SparseEdgeIncidence",
-    "build_incidence",
-    "SPARSE_INCIDENCE_THRESHOLD",
     "FusedKernel",
     "SolveSpec",
     "partition_packed",

@@ -37,24 +37,61 @@ def random_assignment(num_gates, num_planes, rng=None):
     return normalize_rows(w)
 
 
-def normalize_rows(w):
+#: Row width from which numpy's add-reduce switches from summing a row
+#: left to right to pairwise (8-way unrolled) summation.
+PAIRWISE_MIN_COLUMNS = 8
+
+
+def row_sum(w, out=None):
+    """Sum over the last axis, bitwise equal to ``np.add.reduce(w, axis=-1)``.
+
+    Below :data:`PAIRWISE_MIN_COLUMNS` columns numpy sums each row left
+    to right, starting from add's identity ``0.0``, as one tiny inner
+    loop per row.  This helper does the same additions column by column
+    over the whole stack: ``0.0 + w[..., 0]``, then ``+= w[..., k]`` for
+    ``k = 1..K-1``, in place in ``out``.  Starting from ``0.0`` keeps
+    the sign of an all ``-0.0`` row's sum what numpy gives (``+0.0``).
+    From :data:`PAIRWISE_MIN_COLUMNS` columns on, numpy's pairwise order
+    differs, so the helper defers to ``np.add.reduce``.
+
+    ``row_sum(w) / K`` is bitwise ``w.mean(axis=-1)``: numpy's mean is
+    this sum followed by a true divide by the count.
+    """
+    num_columns = w.shape[-1]
+    if not 0 < num_columns < PAIRWISE_MIN_COLUMNS:
+        return np.add.reduce(w, axis=-1, out=out)
+    out = np.add(w[..., 0], 0.0, out=out)
+    for k in range(1, num_columns):
+        out += w[..., k]
+    return out
+
+
+def normalize_rows(w, out=None, sums=None):
     """Divide each row by its sum (rows with zero sum become uniform).
 
     Accepts any ``(..., K)`` stack of assignment matrices; the batched
     solver normalizes all restarts at once with the same arithmetic a
-    single ``(G, K)`` call uses.
+    single ``(G, K)`` call uses.  ``out`` (which may be ``w`` itself)
+    receives the result and ``sums`` the ``(...,)`` row sums, so the
+    solver's step allocates nothing; both default to fresh arrays.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim < 2:
         raise PartitionError(f"assignment matrix must be 2-D, got shape {w.shape}")
-    sums = w.sum(axis=-1, keepdims=True)
-    if np.all(sums > 0.0):
+    sums = row_sum(w, out=sums)[..., None]
+    # min() propagates NaN, so this is ``np.all(sums > 0.0)`` without the
+    # boolean temporary.
+    if sums.size == 0 or sums.min() > 0.0:
         # Fast path (the overwhelmingly common case in the solver loop):
         # bitwise-identical to the general branch below, which would
         # select exactly these already-divided values.
-        return w / sums
+        return np.divide(w, sums, out=out)
     safe = np.where(sums > 0.0, sums, 1.0)
-    return np.where(sums > 0.0, w / safe, 1.0 / w.shape[-1])
+    normalized = np.where(sums > 0.0, w / safe, 1.0 / w.shape[-1])
+    if out is None:
+        return normalized
+    out[...] = normalized
+    return out
 
 
 def labels_from_assignment(w):

@@ -15,7 +15,8 @@ call.
   coefficients;
 * the ``np.add.at`` scatter of the F1 gradient is replaced by a
   precomputed CSR-style :class:`EdgeIncidence` segment-sum
-  (``argsort`` once, ``np.add.reduceat`` per evaluation);
+  (``argsort`` once, a signed gather and ``np.add.reduceat`` per
+  evaluation);
 * :meth:`FusedKernel.cost_and_gradient` computes labels, edge
   differences, per-plane sums and row means **once** and returns both
   the four cost terms and the total gradient;
@@ -36,9 +37,14 @@ holds because
   batch axis;
 * ``matmul`` on a stacked operand runs one identically-sized gemm/gemv
   per batch entry;
-* intermediates produced by advanced indexing (which may come back
-  Fortran-ordered) are forced C-contiguous before any last-axis
-  reduction, keeping the layout part of the contract true.
+* every intermediate a last-axis reduction reads is C-ordered: the
+  edge gathers are written by ``np.take`` into C-ordered workspace
+  rows (advanced indexing could hand back a Fortran-ordered buffer),
+  and the workspace views ``buf[:n]`` are leading-row views, keeping
+  the layout part of the contract true;
+* the K-axis row sums are column sums in numpy's own order (see "Row
+  sums over K" below), which is elementwise per row and so independent
+  of the batch size.
 
 The restart-independence tests (a batch of ``R`` restarts against ``R``
 single-restart solves) pin this down.  The arithmetic reference is the
@@ -46,29 +52,55 @@ per-term eq. (4)-(10) code in :mod:`repro.core.cost` /
 :mod:`repro.core.gradients`; the kernel agrees with it up to
 floating-point reassociation.
 
-Incidence variants
+The edge incidence
 ------------------
-:class:`EdgeIncidence` (dense signed-buffer) materializes a
-``(..., 2E)`` concatenated ``[values, -values]`` temporary per gradient
-evaluation; :class:`SparseEdgeIncidence` replaces it with precomputed
-CSR-style index/sign arrays and a single gather, cutting the temporary
-count in half while staying bitwise identical.  :func:`build_incidence`
-selects the sparse variant automatically above
-:data:`SPARSE_INCIDENCE_THRESHOLD` gates (the >10k-gate regime).
+:class:`EdgeIncidence` precomputes, for each slot of the gate-sorted
+endpoint order, which edge it reads and with which sign (``+1.0`` for
+a ``u`` endpoint, ``-1.0`` for a ``v`` endpoint).  One gather from the
+raw per-edge values plus an in-place sign multiply then yields the
+ordered summands, and one ``np.add.reduceat`` sums each gate's
+segment.  Multiplying by ``±1.0`` is exact, so the summands are exactly
+those of two ``np.add.at`` scatters, added in a fixed order per gate.
+
+Workspace
+---------
+One evaluation needs about a dozen ``(R, G)``-, ``(R, E)``- and
+``(R, G, K)``-sized intermediates.  Allocating and freeing them on
+every iteration sends their pages back to the OS and faults them in
+again on the next one once they cross the allocator's trim threshold.
+:class:`FusedKernel` therefore allocates the buffers once, on its first
+evaluation, sized to that batch: labels, row means, the F4 row terms,
+the two edge buffers (differences and their powers), the scatter's
+gathered buffer and output, one ``(R, G, K)`` square buffer and the
+rank-4 ``left``/``right`` gemm operands.  Every numpy call writes into
+them with ``out=``.  A later evaluation of ``n <= R`` restarts uses
+the leading-row views ``buf[:n]``, which stay C-contiguous, so no
+reduction changes order; a larger batch regrows the workspace.  The
+workspace belongs to one kernel, which belongs to one solve: there is
+no shared cache, so concurrent solves never touch each other's
+buffers.  The returned cost terms are always fresh arrays, and so is
+the gradient unless the caller passes its own ``out=`` buffer (the
+descent loop does).
+
+Row sums over K
+---------------
+The row means ``w.mean(-1)`` and ``(w*w).mean(-1)`` (and the solver
+step's row normalization) reduce over the K = 2..10 innermost axis,
+which numpy runs as one tiny inner loop per row.  :func:`~repro.core.assignment.row_sum` adds the K columns left
+to right over the whole stack instead, which is numpy's own order, and
+so the same bits, for K < 8.  From K = 8 on numpy sums a row pairwise
+in a different order, so ``row_sum`` defers to ``np.add.reduce`` there
+(Table II runs K = 8-10).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.assignment import plane_coefficients
+from repro.core.assignment import plane_coefficients, row_sum
 from repro.core.cost import CostTerms
 from repro.obs import OBS
 from repro.utils.errors import PartitionError
-
-#: Gate count above which :func:`build_incidence` picks the sparse
-#: (index-array) incidence variant automatically.
-SPARSE_INCIDENCE_THRESHOLD = 10_000
 
 
 class EdgeIncidence:
@@ -80,24 +112,14 @@ class EdgeIncidence:
 
     ``out[i] = sum_{e: u_e == i} vals[e] - sum_{e: v_e == i} vals[e]``
 
-    with one ``np.add.reduceat`` segment-sum instead of two
-    ``np.add.at`` scatters.  The summation order within a gate's segment
-    is fixed by the precomputed permutation, so results are reproducible
-    and identical for batched and single evaluations.
+    with one gather and one ``np.add.reduceat`` segment-sum instead of
+    two ``np.add.at`` scatters.  The summation order within a gate's
+    segment is fixed by the precomputed permutation (all ``+u``
+    occurrences in edge order, then all ``-v`` occurrences), so results
+    are reproducible and identical for batched and single evaluations.
     """
 
-    __slots__ = (
-        "num_gates",
-        "num_edges",
-        "u",
-        "v",
-        "_order",
-        "_starts",
-        "_touched",
-    )
-
-    #: Human-readable variant tag (benchmarks and repr).
-    variant = "dense"
+    __slots__ = ("num_gates", "num_edges", "u", "v", "_edge_of", "_signs", "_starts", "_touched")
 
     def __init__(self, edges, num_gates):
         edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
@@ -107,107 +129,44 @@ class EdgeIncidence:
         self.num_edges = int(edges.shape[0])
         self.u = np.ascontiguousarray(edges[:, 0])
         self.v = np.ascontiguousarray(edges[:, 1])
-        # The grouping permutation is only needed by scatter_signed (the
-        # gradient path); built lazily so cost-only users skip the sort.
-        self._order = None
-        self._starts = None
-        self._touched = None
-
-    def _ensure_permutation(self):
-        if self._order is not None:
-            return
         endpoints = np.concatenate([self.u, self.v])
-        # Stable sort keeps a deterministic within-gate order (all +u
-        # occurrences in edge order, then all -v occurrences).
-        self._order = np.argsort(endpoints, kind="stable")
+        order = np.argsort(endpoints, kind="stable")
         counts = np.bincount(endpoints, minlength=self.num_gates)
         self._touched = np.flatnonzero(counts > 0)
         starts = np.zeros(self.num_gates + 1, dtype=np.intp)
         np.cumsum(counts, out=starts[1:])
         self._starts = starts[:-1][self._touched]
+        in_u = order < self.num_edges
+        self._edge_of = np.where(in_u, order, order - self.num_edges)
+        self._signs = np.where(in_u, 1.0, -1.0)
 
-    def scatter_signed(self, values):
+    def scatter_signed(self, values, out=None, gathered=None):
         """Per-gate signed sums of per-edge ``values``, shape ``(..., E)``.
 
         Returns shape ``(..., G)``; gates with no incident edge get 0.
+        ``out`` (``(..., G)``) and ``gathered`` (``(..., 2E)``, the
+        signed summands in segment order) are optional preallocated
+        buffers; ``out`` is overwritten entirely.
         """
         values = np.asarray(values, dtype=float)
-        out = np.zeros(values.shape[:-1] + (self.num_gates,), dtype=float)
+        batch = values.shape[:-1]
+        if out is None:
+            out = np.empty(batch + (self.num_gates,))
         if self.num_edges == 0:
+            out.fill(0.0)
             return out
-        self._ensure_permutation()
-        if self._touched.size == 0:
-            return out
-        signed = np.concatenate([values, -values], axis=-1)
-        signed = np.ascontiguousarray(signed[..., self._order])
-        out[..., self._touched] = np.add.reduceat(signed, self._starts, axis=-1)
-        return out
-
-
-class SparseEdgeIncidence(EdgeIncidence):
-    """Index-array incidence variant for large edge lists.
-
-    The dense variant materializes two full ``(..., 2E)`` temporaries
-    per gradient evaluation: the concatenated ``[values, -values]``
-    buffer and its permuted copy.  This variant precomputes, for each
-    permutation slot, which *edge* it reads (``_edge_of``) and with
-    which sign (``+1.0`` for a ``u`` endpoint, ``-1.0`` for a ``v``
-    endpoint), so one fancy gather straight from the raw values plus an
-    in-place sign multiply produces the identical ordered buffer with a
-    single temporary — the memory-traffic win that matters in the
-    >10k-gate regime :func:`build_incidence` gates on.
-
-    Bitwise identity with the dense variant: multiplying by ``±1.0`` is
-    exact in IEEE-754 (``x * 1.0 == x`` and ``x * -1.0 == -x`` bit for
-    bit), so the per-slot summands — and therefore the segment sums,
-    which run over the same order with the same starts — are identical.
-    """
-
-    __slots__ = ("_edge_of", "_signs")
-
-    variant = "sparse"
-
-    def __init__(self, edges, num_gates):
-        super().__init__(edges, num_gates)
-        self._edge_of = None
-        self._signs = None
-
-    def _ensure_permutation(self):
-        if self._order is not None:
-            return
-        super()._ensure_permutation()
-        in_u = self._order < self.num_edges
-        self._edge_of = np.where(in_u, self._order, self._order - self.num_edges)
-        self._signs = np.where(in_u, 1.0, -1.0)
-
-    def scatter_signed(self, values):
-        """Identical contract (and bits) as the dense variant."""
-        values = np.asarray(values, dtype=float)
-        out = np.zeros(values.shape[:-1] + (self.num_gates,), dtype=float)
-        if self.num_edges == 0:
-            return out
-        self._ensure_permutation()
-        if self._touched.size == 0:
-            return out
-        gathered = np.ascontiguousarray(values[..., self._edge_of])
+        if gathered is None:
+            gathered = np.empty(batch + (2 * self.num_edges,))
+        # mode="clip" skips the defensive copy of ``out`` that the
+        # default bounds-checking mode makes; the indices are in range.
+        np.take(values, self._edge_of, axis=-1, out=gathered, mode="clip")
         gathered *= self._signs
-        out[..., self._touched] = np.add.reduceat(gathered, self._starts, axis=-1)
+        if self._touched.size == self.num_gates:
+            np.add.reduceat(gathered, self._starts, axis=-1, out=out)
+        else:
+            out.fill(0.0)
+            out[..., self._touched] = np.add.reduceat(gathered, self._starts, axis=-1)
         return out
-
-
-def build_incidence(edges, num_gates, sparse=None):
-    """The incidence structure for ``edges`` over ``num_gates`` gates.
-
-    ``sparse=None`` (the default) selects the sparse variant
-    automatically when ``num_gates`` exceeds
-    :data:`SPARSE_INCIDENCE_THRESHOLD`; pass True/False to force a
-    variant.  Both variants are bitwise-identical; only memory traffic
-    differs.
-    """
-    if sparse is None:
-        sparse = num_gates > SPARSE_INCIDENCE_THRESHOLD
-    cls = SparseEdgeIncidence if sparse else EdgeIncidence
-    return cls(edges, num_gates)
 
 
 @dataclass(frozen=True)
@@ -239,10 +198,12 @@ class FusedKernel:
 
     Validates and precomputes everything that is constant across
     iterations (and across restarts) at construction; per-iteration work
-    is purely array arithmetic on the ``(R, G, K)`` assignment stack.
+    is purely array arithmetic on the ``(R, G, K)`` assignment stack,
+    written into the kernel's workspace (see the module docstring).
+    One kernel is not safe to share between threads.
     """
 
-    def __init__(self, num_planes, edges, bias, area, sparse=None):
+    def __init__(self, num_planes, edges, bias, area):
         if num_planes < 1:
             raise PartitionError(f"num_planes must be >= 1, got {num_planes}")
         bias = np.asarray(bias, dtype=float)
@@ -255,12 +216,38 @@ class FusedKernel:
         self.num_gates = int(bias.shape[0])
         self.bias = np.ascontiguousarray(bias)
         self.area = np.ascontiguousarray(area)
-        self.incidence = build_incidence(edges, self.num_gates, sparse=sparse)
+        self.incidence = EdgeIncidence(edges, self.num_gates)
         self.num_edges = self.incidence.num_edges
         self.coeff = plane_coefficients(self.num_planes)
         # F1/F4 normalizers (zero when degenerate; guarded at use sites).
         self.n1 = self.num_edges * (self.num_planes - 1) ** 4
         self.n4 = self.num_gates * (self.num_planes - 1) ** 2
+        self._capacity = 0
+
+    def _reserve(self, num_restarts):
+        """Allocate the workspace for batches of up to ``num_restarts``."""
+        if num_restarts <= self._capacity:
+            return
+        rows = (num_restarts, self.num_gates)
+        edge_rows = (num_restarts, self.num_edges)
+        self._labels = np.empty(rows)
+        self._row_mean = np.empty(rows)
+        self._term_sum = np.empty(rows)
+        self._term_var = np.empty(rows)
+        self._per_gate = np.empty(rows)
+        self._edge_diff = np.empty(edge_rows)
+        self._edge_pow = np.empty(edge_rows)
+        self._gathered = np.empty((num_restarts, 2 * self.num_edges))
+        self._square = np.empty(rows + (self.num_planes,))
+        # The constant columns/rows of the rank-4 gradient operands are
+        # written once here; each evaluation fills in the rest.
+        self._left = np.empty(rows + (4,))
+        self._left[..., 1] = self.bias
+        self._left[..., 2] = self.area
+        self._right = np.empty((num_restarts, 4, self.num_planes))
+        self._right[:, 0, :] = self.coeff
+        self._right[:, 3, :] = 1.0
+        self._capacity = num_restarts
 
     # ------------------------------------------------------------------
     def check_w(self, w):
@@ -303,7 +290,7 @@ class FusedKernel:
         return term, deviation, scale
 
     # ------------------------------------------------------------------
-    def cost_and_gradient(self, w, config, want_gradient=True):
+    def cost_and_gradient(self, w, config, want_gradient=True, out=None):
         """Evaluate all four cost terms and (optionally) the gradient.
 
         Parameters
@@ -319,11 +306,16 @@ class FusedKernel:
         want_gradient:
             Skip the gradient work entirely when False (cost-only
             callers such as restart scoring).
+        out:
+            Optional C-contiguous ``(R, G, K)`` buffer that receives the
+            gradient.  Without it the gradient is a fresh array, so no
+            later call can overwrite what a caller holds.
 
         Returns
         -------
         (BatchedCostTerms, gradient):
-            ``gradient`` has shape ``(R, G, K)`` or is ``None``.
+            ``gradient`` has shape ``(R, G, K)`` (it is ``out`` when
+            given) or is ``None``.
         """
         w = self.check_w(w)
         num_restarts = w.shape[0]
@@ -335,36 +327,54 @@ class FusedKernel:
             OBS.metrics.counter("kernel.restart_evaluations").inc(num_restarts)
             if not want_gradient:
                 OBS.metrics.counter("kernel.cost_only_evaluations").inc()
+        if want_gradient:
+            if out is None:
+                out = np.empty_like(w)
+            elif out.shape != w.shape:
+                raise PartitionError(f"out must have shape {w.shape}, got {out.shape}")
         zeros_r = np.zeros(num_restarts)
 
         if num_planes == 1:
             # A single plane has no inter-plane cost, no imbalance and no
             # relaxed integer constraint; everything is exactly zero.
             terms = BatchedCostTerms(zeros_r, zeros_r, zeros_r, zeros_r, zeros_r.copy())
-            return terms, (np.zeros_like(w) if want_gradient else None)
+            if not want_gradient:
+                return terms, None
+            out.fill(0.0)
+            return terms, out
+
+        self._reserve(num_restarts)
+        n = num_restarts
 
         # Shared intermediates, computed once per evaluation.
-        labels = np.matmul(w, self.coeff)  # (R, G), batched gemv
-        row_mean = w.mean(axis=-1)  # (R, G)
+        labels = np.matmul(w, self.coeff, out=self._labels[:n])  # (R, G), batched gemv
+        row_mean = row_sum(w, out=self._row_mean[:n])  # (R, G)
+        row_mean /= num_planes
 
         # --- F1 (eq. (4)) cost ----------------------------------------
         per_gate = None
         if self.num_edges == 0:
             f1 = zeros_r
         else:
-            # Advanced indexing may return Fortran-ordered buffers whose
-            # last-axis reduction order differs from the 1-D case; force
-            # C order to keep the bitwise equivalence contract.
-            diff = np.ascontiguousarray(
-                labels[:, self.incidence.u] - labels[:, self.incidence.v]
-            )  # (R, E)
+            incidence = self.incidence
+            # Gathered straight into C-ordered (R, E) buffers, so every
+            # last-axis reduction below runs in the 1-D order (the
+            # bitwise equivalence contract).  mode="clip" avoids the
+            # defensive copy of ``out`` that bounds checking makes.
+            diff = np.take(labels, incidence.u, axis=1, out=self._edge_diff[:n], mode="clip")
+            power = np.take(labels, incidence.v, axis=1, out=self._edge_pow[:n], mode="clip")
+            diff -= power
             # Pow-free factorization: diff^4 = (diff^2)^2 and
             # diff^3 = (diff^2) * diff — numpy's pow loop calls libm per
             # element, an order of magnitude slower.
-            diff_sq = diff * diff
-            f1 = (diff_sq * diff_sq).sum(axis=-1) / self.n1
+            diff_sq = np.multiply(diff, diff, out=power)
             if want_gradient:
-                per_gate = self.incidence.scatter_signed(diff_sq * diff)  # (R, G)
+                cube = np.multiply(diff_sq, diff, out=diff)
+                per_gate = incidence.scatter_signed(
+                    cube, out=self._per_gate[:n], gathered=self._gathered[:n]
+                )  # (R, G)
+            quartic = np.multiply(diff_sq, diff_sq, out=power)
+            f1 = quartic.sum(axis=-1) / self.n1
 
         # --- F2 / F3 (eqs. (5)-(6)) cost ------------------------------
         f2, dev2, scale2 = self._variance_pieces(w, self.bias)
@@ -373,9 +383,15 @@ class FusedKernel:
         # --- F4 (eq. (9)) cost ----------------------------------------
         # Row variance via E[w^2] - mean^2: one full-size elementwise
         # product instead of an (R, G, K) broadcast-subtract temporary.
-        term_sum = (num_planes * row_mean - 1.0) ** 2
-        term_var = (w * w).mean(axis=-1) - row_mean * row_mean
-        f4 = (term_sum - term_var).sum(axis=-1) / self.n4
+        square = self._square[:n]
+        term_sum = np.multiply(num_planes, row_mean, out=self._term_sum[:n])
+        term_sum -= 1.0
+        term_sum *= term_sum  # (K rm - 1)^2
+        term_var = row_sum(np.multiply(w, w, out=square), out=self._term_var[:n])
+        term_var /= num_planes
+        term_var -= np.multiply(row_mean, row_mean, out=labels)
+        term_sum -= term_var
+        f4 = term_sum.sum(axis=-1) / self.n4
 
         total = config.c1 * f1 + config.c2 * f2 + config.c3 * f3 + config.c4 * f4
         terms = BatchedCostTerms(f1=f1, f2=f2, f3=f3, f4=f4, total=total)
@@ -412,22 +428,19 @@ class FusedKernel:
         else:  # pragma: no cover - config validates this
             raise PartitionError(f"unknown gradient mode {config.gradient_mode!r}")
 
-        left = np.empty((num_restarts, self.num_gates, 4))
+        left = self._left[:n]  # columns 1 and 2 hold bias and area
         if per_gate is None:
             left[..., 0] = 0.0
         else:
             np.multiply(per_gate, config.c1 * (4.0 / self.n1), out=left[..., 0])
-        left[..., 1] = self.bias
-        left[..., 2] = self.area
-        left[..., 3] = a4 * row_mean + b4
+        np.multiply(a4, row_mean, out=left[..., 3])
+        left[..., 3] += b4
 
-        right = np.empty((num_restarts, 4, num_planes))
-        right[:, 0, :] = self.coeff
+        right = self._right[:n]  # rows 0 and 3 hold [1..K] and 1
         right[:, 1, :] = config.c2 * scale2[:, None] * dev2
         right[:, 2, :] = config.c3 * scale3[:, None] * dev3
-        right[:, 3, :] = 1.0
 
         # One (G, 4) x (4, K) gemm per restart.
-        gradient = np.matmul(left, right)
-        gradient += cw * w
+        gradient = np.matmul(left, right, out=out)
+        gradient += np.multiply(cw, w, out=square)
         return terms, gradient

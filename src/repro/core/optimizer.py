@@ -24,6 +24,17 @@ remaining restarts keep iterating on a compacted stack.  Every restart
 performs bitwise the same float arithmetic it would perform alone (see
 the equivalence contract in :mod:`repro.core.kernel`), so a batch of
 ``R`` restarts yields exactly the traces of ``R`` single-restart solves.
+
+One iteration allocates nothing of the problem's size.  The loop owns
+two ``(R, G, K)`` state buffers and alternates them: one holds the
+current ``w``, the other receives the gradient and is stepped, clipped
+and row-normalized in place into the next ``w`` (the kernel keeps its
+own intermediates in its workspace).  Convergence masking compacts
+both buffers in place and continues on their leading rows.  The
+per-restart bookkeeping is array arithmetic too: each iteration
+records which restarts evaluated finitely and their costs, and each
+trace's Python-float ``cost_history``, its ``iterations`` and its
+``final_terms`` are built once, after the loop.
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.assignment import normalize_rows, random_assignment
+from repro.core.cost import CostTerms
 from repro.core.kernel import FusedKernel
 from repro.obs import OBS
 from repro.utils.errors import PartitionError
@@ -230,36 +242,13 @@ def minimize_assignment_batch(
             )
 
     obs = OBS if OBS.enabled else None
-    if obs is not None:
-        run = obs.telemetry.begin_run("batched", num_restarts)
-
+    run = obs.telemetry.begin_run("batched", num_restarts) if obs is not None else None
     traces = [
         GradientDescentTrace(w=stack[r], telemetry=[] if obs is not None else None)
         for r in range(num_restarts)
     ]
-    final_w = [None] * num_restarts
-    # (BatchedCostTerms, row) of each restart's latest evaluation; the
-    # scalar CostTerms is materialized once after the loop instead of on
-    # every iteration.
-    last_eval = [None] * num_restarts
-    # Restart indices still descending, and their compacted stack.
-    active = np.arange(num_restarts)
-    live = stack
-    cost_old = np.full(num_restarts, np.inf)
-
     with OBS.trace.span("descent_batch", restarts=num_restarts):
-        _descend_batch(
-            kernel, config, traces, final_w, last_eval, active, live, cost_old,
-            pinned, obs, run if obs is not None else None, tags,
-        )
-
-    for r in range(num_restarts):
-        traces[r].w = np.ascontiguousarray(final_w[r])
-        if last_eval[r] is not None:
-            # A quarantined restart that never produced a finite
-            # evaluation has no terms to materialize.
-            terms_r, row = last_eval[r]
-            traces[r].final_terms = terms_r.term(row)
+        _descend_batch(kernel, config, traces, stack, pinned, obs, run, tags)
     return traces
 
 
@@ -279,12 +268,24 @@ def _reseed_assignment(num_gates, num_planes, restart, attempt, pinned):
     return _clamp_pinned(w, pinned)
 
 
-def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cost_old, pinned, obs, run, tags):
+def _compact_rows(buffer, kept):
+    """Move rows ``kept`` (ascending) of ``buffer`` to its leading rows.
+
+    In place and in ascending order: row ``kept[i] >= i`` is read before
+    any later write can reach it.
+    """
+    for i, j in enumerate(kept):
+        if i != j:
+            buffer[i] = buffer[j]
+
+
+def _descend_batch(kernel, config, traces, stack, pinned, obs, run, tags):
     """The batched descent loop of :func:`minimize_assignment_batch`.
 
     Split out so the timing span around it stays exception-safe without
-    indenting the whole loop; mutates ``traces``/``final_w``/
-    ``last_eval`` in place.
+    indenting the whole loop.  Descends from ``stack`` (which it uses as
+    one of its two state buffers) and fills in every field of
+    ``traces``.
 
     Graceful degradation: an evaluation that produces a non-finite cost
     or gradient — or a cost more than :data:`DIVERGENCE_FACTOR` above
@@ -298,14 +299,27 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
     On a fully finite problem none of this triggers and the arithmetic
     is bitwise identical to the same restarts solved one at a time.
     """
-    num_restarts = len(traces)
-    num_gates, num_planes = live.shape[1], live.shape[2]
+    num_restarts, num_gates, num_planes = stack.shape
     first_cost = np.full(num_restarts, np.nan)
+    cost_old = np.full(num_restarts, np.inf)
+    iterations = np.zeros(num_restarts, dtype=np.intp)
+    # f1..f4 and total of each restart's latest finite evaluation.
+    last_terms = np.zeros((5, num_restarts))
+    has_terms = np.zeros(num_restarts, dtype=bool)
+    # Per iteration: the restarts that evaluated finitely, and their costs.
+    history_owners, history_costs = [], []
+    final_w = [None] * num_restarts
+    # Restart indices still descending; row j of the leading block of
+    # both state buffers belongs to restart active[j].
+    active = np.arange(num_restarts)
+    current, spare = stack, np.empty_like(stack)
+    row_sums = np.empty((num_restarts, num_gates))
 
     for _ in range(config.max_iterations):
         if active.size == 0:
             break
-        terms, gradient = kernel.cost_and_gradient(live, config)
+        live = current[:active.size]
+        terms, gradient = kernel.cost_and_gradient(live, config, out=spare[:active.size])
         cost_new = terms.total
 
         # --- poisoned-trajectory detection.  Only O(R) scalar checks
@@ -355,12 +369,14 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
             cost_new = np.where(bad, np.inf, cost_new)
 
         good = ~bad
-        for j, r in enumerate(active):
-            if good[j]:
-                traces[r].cost_history.append(float(cost_new[j]))
-                last_eval[r] = (terms, j)
-                if not np.isfinite(first_cost[r]):
-                    first_cost[r] = cost_new[j]
+        owners = active[good]
+        history_owners.append(owners)
+        history_costs.append(cost_new[good])
+        for row, values in enumerate((terms.f1, terms.f2, terms.f3, terms.f4, terms.total)):
+            last_terms[row, owners] = values[good]
+        has_terms[owners] = True
+        unset = ~np.isfinite(first_cost[owners])
+        first_cost[owners[unset]] = cost_new[good][unset]
 
         # Algorithm 1 line 14, vectorized per restart (cost_old is inf on
         # each restart's first pass, so nothing stops before one step;
@@ -385,7 +401,7 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
                 if bad[j]:
                     continue
                 record = obs.telemetry.record(
-                    run, int(r), traces[r].iterations,
+                    run, int(r), int(iterations[r]),
                     float(terms.f1[j]), float(terms.f2[j]), float(terms.f3[j]),
                     float(terms.f4[j]), float(cost_new[j]),
                     float(ratio[j]) if finite[j] else None,
@@ -398,32 +414,35 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
             for j in np.flatnonzero(drop):
                 r = int(active[j])
                 traces[r].converged = bool(stop[j])
-                final_w[r] = live[j]
+                final_w[r] = live[j].copy()
             keep = ~drop
             active = active[keep]
             if active.size == 0:
                 break
-            live = np.ascontiguousarray(live[keep])
-            gradient = gradient[keep]
+            kept = np.flatnonzero(keep)
+            _compact_rows(live, kept)
+            _compact_rows(gradient, kept)
+            live = live[:active.size]
+            gradient = gradient[:active.size]
             cost_new = cost_new[keep]
             bad = bad[keep]
 
-        # In-place descent step reusing the gradient buffer.  Bitwise
-        # identical to ``clip(live - lr * gradient)``: IEEE multiply by
-        # ``-lr`` flips sign exactly and ``a + (-b) == a - b``.  Rows
-        # reseeded this iteration carry a zeroed gradient, so the step
-        # leaves their fresh initialization untouched.
+        # In-place descent step into the gradient buffer, which becomes
+        # the next ``w``.  Bitwise identical to ``clip(live - lr *
+        # gradient)``: IEEE multiply by ``-lr`` flips sign exactly and
+        # ``a + (-b) == a - b``.  Rows reseeded this iteration carry a
+        # zeroed gradient, so the step leaves their fresh initialization
+        # untouched.
         gradient *= -config.learning_rate
         gradient += live
-        live = np.clip(gradient, 0.0, 1.0, out=gradient)
+        np.clip(gradient, 0.0, 1.0, out=gradient)
         if config.renormalize_rows:
-            live = normalize_rows(live)
+            normalize_rows(gradient, out=gradient, sums=row_sums[:active.size])
         if pinned:
-            live = _clamp_pinned(live, pinned)
-        for j, r in enumerate(active):
-            if not bad[j]:
-                traces[r].iterations += 1
+            _clamp_pinned(gradient, pinned)
+        iterations[active[~bad]] += 1
         cost_old[active] = cost_new
+        current, spare = spare, current
 
     # Restarts stopped by the iteration cap keep their last stepped w.
     # A gradient that went non-finite
@@ -431,13 +450,30 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
     # evaluation to flag it, so quarantine those rows here.
     for j, r in enumerate(active):
         r = int(r)
-        if np.isfinite(live[j]).all():
-            final_w[r] = live[j]
+        if np.isfinite(current[j]).all():
+            final_w[r] = current[j].copy()
         else:
             traces[r].quarantined = True
             final_w[r] = np.full((num_gates, num_planes), 1.0 / num_planes)
             _clamp_pinned(final_w[r], pinned)
-            last_eval[r] = None
+            has_terms[r] = False
             if obs is not None:
                 obs.metrics.counter("solver.nonfinite_detected").inc()
                 obs.metrics.counter("solver.restarts_quarantined").inc()
+
+    # Each restart's history in iteration order: a stable sort by owner.
+    owners = np.concatenate(history_owners) if history_owners else np.zeros(0, np.intp)
+    costs = np.concatenate(history_costs) if history_costs else np.zeros(0)
+    order = np.argsort(owners, kind="stable")
+    costs = costs[order].tolist()
+    ends = np.cumsum(np.bincount(owners, minlength=num_restarts)).tolist()
+    start = 0
+    for r, trace in enumerate(traces):
+        trace.w = final_w[r]
+        trace.cost_history = costs[start:ends[r]]
+        start = ends[r]
+        trace.iterations = int(iterations[r])
+        if has_terms[r]:
+            # A quarantined restart that never produced a finite
+            # evaluation has no terms to materialize.
+            trace.final_terms = CostTerms(*last_terms[:, r].tolist())

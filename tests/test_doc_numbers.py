@@ -79,7 +79,7 @@ def test_performance_multilevel_section_quotes_mult8_row():
 
 
 def test_performance_megabatch_section_quotes_throughput_ratios():
-    section = _performance_section("## 4. Incidence variants and mega-batching")
+    section = _performance_section("## 4. Solver iteration cost and mega-batching")
     assert "`throughput_ratio`" in section
     for row in _bench("BENCH_megabatch.json")["results"]:
         jobs = f"{row['jobs']} job" + ("s" if row["jobs"] > 1 else "")

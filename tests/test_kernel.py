@@ -1,9 +1,10 @@
 """Tests for repro.core.kernel — the fused batched cost/gradient kernel.
 
-Covers the signed edge-incidence segment-sum and its dense/sparse
-variants (bitwise identity, automatic threshold selection), the kernel
-against the per-term reference of :mod:`repro.core.cost` /
-:mod:`repro.core.gradients`, and batch-slice bitwise independence.
+Covers the signed edge-incidence segment-sum, the kernel against the
+per-term reference of :mod:`repro.core.cost` /
+:mod:`repro.core.gradients`, batch-slice bitwise independence, and the
+per-kernel workspace: reusing it across calls and batch sizes changes
+no bit, and nothing handed to a caller is overwritten by a later call.
 """
 
 import numpy as np
@@ -13,13 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core import assignment, cost, gradients
 from repro.core.config import PartitionConfig
-from repro.core.kernel import (
-    SPARSE_INCIDENCE_THRESHOLD,
-    EdgeIncidence,
-    FusedKernel,
-    SparseEdgeIncidence,
-    build_incidence,
-)
+from repro.core.kernel import EdgeIncidence, FusedKernel
 from repro.utils.errors import PartitionError
 
 CONFIG = PartitionConfig(c1=1.0, c2=1.0, c3=1.0, c4=1.0)
@@ -65,92 +60,51 @@ def test_scatter_signed_batched_matches_rows():
         assert np.array_equal(batched[r], incidence.scatter_signed(values[r]))
 
 
+def _add_at_reference(values, edges, num_gates):
+    """Two ``np.add.at`` scatters per batch row: +values at u, -values at v."""
+    expected = np.zeros(values.shape[:-1] + (num_gates,))
+    for index in np.ndindex(values.shape[:-1]):
+        np.add.at(expected[index], edges[:, 0], values[index])
+        np.add.at(expected[index], edges[:, 1], -values[index])
+    return expected
+
+
+@pytest.mark.parametrize("isolated", [False, True])
+def test_scatter_signed_into_buffers_matches_two_add_at(isolated):
+    """Batched scatter into dirty preallocated buffers.
+
+    Integer-valued summands add exactly in any order, so the two
+    ``np.add.at`` scatters are a bitwise reference for which edge lands
+    on which gate with which sign; ``out`` starts as NaN and must be
+    overwritten entirely, including the zero rows of gates that no edge
+    touches.
+    """
+    rng = np.random.default_rng(4)
+    num_gates = 30
+    edges = rng.integers(0, 25 if isolated else num_gates, size=(80, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    incidence = EdgeIncidence(edges, num_gates)
+    values = rng.integers(-50, 50, size=(3, edges.shape[0])).astype(float)
+    out = np.full((3, num_gates), np.nan)
+    gathered = np.full((3, 2 * edges.shape[0]), np.nan)
+    result = incidence.scatter_signed(values, out=out, gathered=gathered)
+    assert result is out
+    assert np.array_equal(out, _add_at_reference(values, edges, num_gates))
+    if isolated:
+        assert np.all(out[:, 25:] == 0.0)
+
+
 def test_scatter_signed_no_edges():
     incidence = EdgeIncidence(np.zeros((0, 2), dtype=np.intp), 4)
     out = incidence.scatter_signed(np.zeros(0))
     assert np.array_equal(out, np.zeros(4))
+    dirty = np.full((2, 4), np.nan)
+    assert np.array_equal(incidence.scatter_signed(np.zeros((2, 0)), out=dirty), np.zeros((2, 4)))
 
 
 def test_edge_incidence_rejects_out_of_range():
     with pytest.raises(PartitionError, match="out of range"):
         EdgeIncidence(np.array([[0, 7]]), 3)
-
-
-# ----------------------------------------------------------------------
-# Dense vs sparse EdgeIncidence
-# ----------------------------------------------------------------------
-def _random_edges(num_gates, num_edges, seed):
-    rng = np.random.default_rng(seed)
-    edges = rng.integers(0, num_gates, size=(num_edges * 2, 2))
-    edges = edges[edges[:, 0] != edges[:, 1]][:num_edges]
-    return np.ascontiguousarray(edges)
-
-
-@pytest.mark.parametrize("batch_shape", [(), (1,), (7,), (3, 4)])
-def test_sparse_incidence_bitwise_matches_dense(batch_shape):
-    edges = _random_edges(50, 120, seed=2)
-    dense = EdgeIncidence(edges, 50)
-    sparse = SparseEdgeIncidence(edges, 50)
-    values = np.random.default_rng(3).normal(size=batch_shape + (edges.shape[0],))
-    assert np.array_equal(
-        dense.scatter_signed(values), sparse.scatter_signed(values)
-    )
-
-
-def test_sparse_incidence_no_edges():
-    sparse = SparseEdgeIncidence(np.zeros((0, 2), dtype=np.intp), 4)
-    assert np.array_equal(sparse.scatter_signed(np.zeros(0)), np.zeros(4))
-
-
-def test_build_incidence_threshold_selection():
-    edges = np.array([[0, 1], [1, 2]], dtype=np.intp)
-    assert build_incidence(edges, 10).variant == "dense"
-    assert build_incidence(edges, 10, sparse=True).variant == "sparse"
-    assert build_incidence(edges, 10, sparse=False).variant == "dense"
-    big = SPARSE_INCIDENCE_THRESHOLD + 1
-    assert build_incidence(edges, big).variant == "sparse"
-    assert build_incidence(edges, SPARSE_INCIDENCE_THRESHOLD).variant == "dense"
-
-
-def test_fused_kernel_sparse_bitwise_identical():
-    rng = np.random.default_rng(9)
-    num_gates, num_planes = 40, 4
-    edges = _random_edges(num_gates, 90, seed=11)
-    bias = rng.uniform(0.05, 2.0, size=num_gates)
-    area = rng.uniform(10.0, 500.0, size=num_gates)
-    w = rng.dirichlet(np.ones(num_planes), size=(5, num_gates))
-    config = PartitionConfig()
-    dense_k = FusedKernel(num_planes, edges, bias, area, sparse=False)
-    sparse_k = FusedKernel(num_planes, edges, bias, area, sparse=True)
-    assert dense_k.incidence.variant == "dense"
-    assert sparse_k.incidence.variant == "sparse"
-    dense_terms, dense_grad = dense_k.cost_and_gradient(w, config)
-    sparse_terms, sparse_grad = sparse_k.cost_and_gradient(w, config)
-    for name in ("f1", "f2", "f3", "f4", "total"):
-        assert np.array_equal(
-            getattr(dense_terms, name), getattr(sparse_terms, name)
-        )
-    assert np.array_equal(dense_grad, sparse_grad)
-
-
-def test_partition_sparse_matches_dense_end_to_end(
-    mixed_netlist, fast_config, monkeypatch
-):
-    """A full solve above the sparse threshold lands on identical labels.
-
-    Lowering the threshold makes the 40-gate fixture take the sparse
-    incidence path inside :func:`minimize_assignment_batch`; the result
-    must be bitwise the dense run's.
-    """
-    from repro.core import kernel as kernel_mod
-    from repro.core.partitioner import partition
-
-    dense = partition(mixed_netlist, 3, config=fast_config, seed=5)
-    monkeypatch.setattr(kernel_mod, "SPARSE_INCIDENCE_THRESHOLD", 1)
-    sparse = partition(mixed_netlist, 3, config=fast_config, seed=5)
-    assert np.array_equal(dense.trace.w, sparse.trace.w)
-    assert np.array_equal(dense.labels, sparse.labels)
-    assert dense.restart_costs == sparse.restart_costs
 
 
 # ----------------------------------------------------------------------
@@ -314,3 +268,62 @@ def test_batched_terms_term_materializes_scalars():
     scalar = terms.term(0)
     assert isinstance(scalar.total, float)
     assert scalar.total == float(terms.total[0])
+
+
+# ----------------------------------------------------------------------
+# The per-kernel workspace
+# ----------------------------------------------------------------------
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+def _evaluate(kernel, w, config=CONFIG, want_gradient=True):
+    terms, gradient = kernel.cost_and_gradient(w, config, want_gradient=want_gradient)
+    fields = [getattr(terms, name).copy() for name in ("f1", "f2", "f3", "f4", "total")]
+    return fields, None if gradient is None else gradient.copy()
+
+
+@pytest.mark.parametrize("num_planes", [2, 4, 5, 9])
+def test_workspace_reuse_across_batch_sizes_is_bitwise(num_planes):
+    """w1, a smaller-R w2 (and a cost-only call), then w1 again on one
+    kernel give bitwise what a fresh kernel gives for w1."""
+    _, edges, bias, area = _problem(num_gates=40, num_edges=70)
+    rng = np.random.default_rng(num_planes)
+    w1 = rng.dirichlet(np.ones(num_planes), size=(5, bias.size))
+    w2 = rng.dirichlet(np.ones(num_planes), size=(2, bias.size))
+    fresh_fields, fresh_gradient = _evaluate(FusedKernel(num_planes, edges, bias, area), w1)
+    kernel = FusedKernel(num_planes, edges, bias, area)
+    _evaluate(kernel, w1)
+    _evaluate(kernel, w2)
+    _evaluate(kernel, w2[0], config=CONFIG.with_(gradient_mode="exact"), want_gradient=False)
+    fields, gradient = _evaluate(kernel, w1)
+    for got, want in zip(fields, fresh_fields):
+        assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(gradient), _bits(fresh_gradient))
+
+
+def test_returned_gradient_and_terms_survive_the_next_call():
+    w, edges, bias, area = _problem()
+    kernel = FusedKernel(w.shape[1], edges, bias, area)
+    terms, gradient = kernel.cost_and_gradient(w, CONFIG)
+    kept_total, kept_f1, kept_gradient = terms.total.copy(), terms.f1.copy(), gradient.copy()
+    other = np.random.default_rng(1).dirichlet(np.ones(w.shape[1]), size=(1, w.shape[0]))
+    other_terms, other_gradient = kernel.cost_and_gradient(other, CONFIG)
+    assert other_gradient is not gradient
+    assert not np.shares_memory(other_gradient, gradient)
+    assert np.array_equal(gradient, kept_gradient)
+    assert np.array_equal(terms.total, kept_total)
+    assert np.array_equal(terms.f1, kept_f1)
+    assert not np.array_equal(other_terms.total, kept_total)
+
+
+def test_gradient_written_into_out_buffer():
+    w, edges, bias, area = _problem()
+    kernel = FusedKernel(w.shape[1], edges, bias, area)
+    _, expected = kernel.cost_and_gradient(w, CONFIG)
+    out = np.full((1,) + w.shape, np.nan)
+    _, gradient = kernel.cost_and_gradient(w, CONFIG, out=out)
+    assert gradient is out
+    assert np.array_equal(out, expected)
+    with pytest.raises(PartitionError, match="out must have shape"):
+        kernel.cost_and_gradient(w, CONFIG, out=np.empty((2,) + w.shape))

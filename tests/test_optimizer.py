@@ -130,3 +130,79 @@ def test_gradient_mode_exact_also_converges():
     config = PartitionConfig(max_iterations=600, gradient_mode="exact")
     trace = _solve(4, edges, bias, area, config, rng=3)
     assert trace.cost_history[-1] < trace.cost_history[0]
+
+
+def _traces_equal(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x.w, y.w)
+        assert x.cost_history == y.cost_history
+        assert (x.iterations, x.converged, x.reseeds, x.quarantined) == (
+            y.iterations, y.converged, y.reseeds, y.quarantined
+        )
+        assert x.final_terms == y.final_terms
+
+
+def test_back_to_back_batches_return_equal_traces():
+    edges, bias, area = _problem()
+    config = PartitionConfig(max_iterations=300)
+    first = minimize_assignment_batch(4, edges, bias, area, config, rngs=3, restarts=4)
+    second = minimize_assignment_batch(4, edges, bias, area, config, rngs=3, restarts=4)
+    _traces_equal(first, second)
+    assert all(isinstance(c, float) for t in first for c in t.cost_history)
+    assert all(isinstance(t.iterations, int) for t in first)
+    assert all(len(t.cost_history) == t.iterations + t.converged for t in first)
+
+
+def test_trace_w_is_owned_by_its_trace():
+    """The descent reuses its state buffers; no returned ``w`` may alias
+    another trace's (or a buffer a later solve writes into)."""
+    edges, bias, area = _problem()
+    config = PartitionConfig(max_iterations=40)
+    traces = minimize_assignment_batch(4, edges, bias, area, config, rngs=5, restarts=3)
+    kept = [t.w.copy() for t in traces]
+    traces[0].w[:] = -1.0
+    for trace, w in zip(traces[1:], kept[1:]):
+        assert np.array_equal(trace.w, w)
+    later = minimize_assignment_batch(4, edges, bias, area, config, rngs=6, restarts=3)
+    for trace, w in zip(traces[1:], kept[1:]):
+        assert np.array_equal(trace.w, w)
+    for a in traces:
+        for b in later:
+            assert not np.shares_memory(a.w, b.w)
+
+
+def test_concurrent_solves_match_sequential():
+    """Each solve owns its workspace and state buffers, so solves running
+    in threads at once (as the service's inline workers do) return what
+    they return one at a time."""
+    import sys
+    import threading
+
+    edges, bias, area = _problem(num_gates=60)
+    config = PartitionConfig(max_iterations=150)
+    seeds = list(range(6))
+    expected = [
+        minimize_assignment_batch(4, edges, bias, area, config, rngs=s, restarts=3)
+        for s in seeds
+    ]
+    results = [None] * len(seeds)
+
+    def solve(i):
+        results[i] = minimize_assignment_batch(
+            4, edges, bias, area, config, rngs=seeds[i], restarts=3
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(seeds))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(results, expected):
+        _traces_equal(got, want)

@@ -78,3 +78,29 @@ def test_lbfgs_beats_random_labels(mixed_netlist, fast_config):
         for _ in range(10)
     ]
     assert result.integer_cost() < np.mean(random_costs)
+
+
+def test_lbfgs_unchanged_by_workspace_reuse(monkeypatch):
+    """One kernel serves every L-BFGS evaluation; its reused workspace
+    must give bitwise the run where each evaluation gets a fresh kernel
+    (and scipy keeps the gradients it was handed)."""
+    from repro.baselines import lbfgs
+    from repro.core.kernel import FusedKernel
+
+    edges, bias, area = _problem()
+    config = PartitionConfig(max_iterations=40)
+    reused = minimize_assignment_lbfgs(3, edges, bias, area, config, rng=5)
+
+    class FreshPerCall:
+        def __init__(self, *args):
+            self.args = args
+
+        def cost_and_gradient(self, *args, **kwargs):
+            return FusedKernel(*self.args).cost_and_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(lbfgs, "FusedKernel", FreshPerCall)
+    fresh = minimize_assignment_lbfgs(3, edges, bias, area, config, rng=5)
+    assert np.array_equal(reused.w, fresh.w)
+    assert reused.cost_history == fresh.cost_history
+    assert reused.final_terms == fresh.final_terms
+    assert reused.iterations == fresh.iterations

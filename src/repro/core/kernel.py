@@ -21,14 +21,21 @@ call.
   differences, per-plane sums and row means **once** and returns both
   the four cost terms and the total gradient;
 * every evaluation is batched over a leading restart axis: ``w`` of
-  shape ``(R, G, K)`` evaluates all ``R`` restarts simultaneously.
+  shape ``(R, G, K)`` evaluates all ``R`` restarts simultaneously;
+* the descent loop calls the private :meth:`FusedKernel._evaluate`
+  directly: no input validation, no ``BatchedCostTerms`` and no numpy
+  Python-level wrapper (``np.take``, ``ndarray.mean``/``sum``,
+  ``np.where``) on its path, only ufuncs, their ``reduce`` methods and
+  ``ndarray.take``.  On the small circuits the service mostly solves,
+  those wrappers cost more than the arithmetic.  The public
+  :meth:`~FusedKernel.cost_and_gradient` validates and delegates to it.
 
 Numerical-equivalence contract
 ------------------------------
 The batched engine evaluates all restarts of a solve — and, through
 :mod:`repro.core.megabatch`, restarts from many compatible jobs — as
 one ``(R, G, K)`` stack.  That is only invisible if every operation in
-:meth:`FusedKernel.cost_and_gradient` produces, for each batch slice,
+:meth:`FusedKernel._evaluate` produces, for each batch slice,
 bitwise the same floats it would produce on that slice alone.  That
 holds because
 
@@ -38,10 +45,13 @@ holds because
 * ``matmul`` on a stacked operand runs one identically-sized gemm/gemv
   per batch entry;
 * every intermediate a last-axis reduction reads is C-ordered: the
-  edge gathers are written by ``np.take`` into C-ordered workspace
+  edge gathers are written by ``ndarray.take`` into C-ordered workspace
   rows (advanced indexing could hand back a Fortran-ordered buffer),
   and the workspace views ``buf[:n]`` are leading-row views, keeping
-  the layout part of the contract true;
+  the layout part of the contract true.  The stacked F2/F3 buffer's
+  view ``planes[:, :n]`` is not contiguous across its two terms, but
+  each of its ``(n, K)`` blocks is, and a last-axis reduction still
+  runs one row at a time;
 * the K-axis row sums are column sums in numpy's own order (see "Row
   sums over K" below), which is elementwise per row and so independent
   of the batch size.
@@ -71,16 +81,23 @@ again on the next one once they cross the allocator's trim threshold.
 :class:`FusedKernel` therefore allocates the buffers once, on its first
 evaluation, sized to that batch: labels, row means, the F4 row terms,
 the two edge buffers (differences and their powers), the scatter's
-gathered buffer and output, one ``(R, G, K)`` square buffer and the
-rank-4 ``left``/``right`` gemm operands.  Every numpy call writes into
-them with ``out=``.  A later evaluation of ``n <= R`` restarts uses
-the leading-row views ``buf[:n]``, which stay C-contiguous, so no
+gathered buffer and output, one ``(R, G, K)`` square buffer, the
+stacked ``(2, R, K)`` per-plane buffer of F2 (row 0, bias) and F3
+(row 1, area) with its square, and the rank-4 ``left``/``right`` gemm
+operands.  Every numpy call writes into them with ``out=``.  F2 and
+F3 keep one ``matmul`` gemv each; their means, deviations, variances,
+normalizers and gradient rows are computed once on the stacked buffer.
+A degenerate (zero) mean is still handled per term and restart, behind
+one check.  A later evaluation of ``n <= R`` restarts uses the
+leading-row views ``buf[:n]``, which stay C-contiguous, so no
 reduction changes order; a larger batch regrows the workspace.  The
 workspace belongs to one kernel, which belongs to one solve: there is
 no shared cache, so concurrent solves never touch each other's
-buffers.  The returned cost terms are always fresh arrays, and so is
-the gradient unless the caller passes its own ``out=`` buffer (the
-descent loop does).
+buffers.  The per-config scalars (the weights, the F1 scale and the F4
+gradient flavor) are computed once per config the kernel sees.  The
+returned cost terms are always fresh arrays, and so is the gradient
+unless the caller passes its own ``out=`` buffer (the descent loop
+does).
 
 Row sums over K
 ---------------
@@ -159,7 +176,7 @@ class EdgeIncidence:
             gathered = np.empty(batch + (2 * self.num_edges,))
         # mode="clip" skips the defensive copy of ``out`` that the
         # default bounds-checking mode makes; the indices are in range.
-        np.take(values, self._edge_of, axis=-1, out=gathered, mode="clip")
+        values.take(self._edge_of, axis=-1, out=gathered, mode="clip")
         gathered *= self._signs
         if self._touched.size == self.num_gates:
             np.add.reduceat(gathered, self._starts, axis=-1, out=out)
@@ -223,11 +240,10 @@ class FusedKernel:
         self.n1 = self.num_edges * (self.num_planes - 1) ** 4
         self.n4 = self.num_gates * (self.num_planes - 1) ** 2
         self._capacity = 0
+        self._config = None
 
     def _reserve(self, num_restarts):
         """Allocate the workspace for batches of up to ``num_restarts``."""
-        if num_restarts <= self._capacity:
-            return
         rows = (num_restarts, self.num_gates)
         edge_rows = (num_restarts, self.num_edges)
         self._labels = np.empty(rows)
@@ -239,6 +255,9 @@ class FusedKernel:
         self._edge_pow = np.empty(edge_rows)
         self._gathered = np.empty((num_restarts, 2 * self.num_edges))
         self._square = np.empty(rows + (self.num_planes,))
+        # Per-plane bias (row 0) and area (row 1) sums, then deviations.
+        self._planes = np.empty((2, num_restarts, self.num_planes))
+        self._planes_sq = np.empty((2, num_restarts, self.num_planes))
         # The constant columns/rows of the rank-4 gradient operands are
         # written once here; each evaluation fills in the rest.
         self._left = np.empty(rows + (4,))
@@ -247,7 +266,29 @@ class FusedKernel:
         self._right = np.empty((num_restarts, 4, self.num_planes))
         self._right[:, 0, :] = self.coeff
         self._right[:, 3, :] = 1.0
+        # (4, R, K) view of ``_right``: rows 1 and 2 are written from
+        # the stacked (2, R, K) deviations in one multiply.
+        self._right_rows = self._right.transpose(1, 0, 2)
         self._capacity = num_restarts
+
+    def _bind(self, config):
+        """Precompute the per-config scalars of :meth:`_evaluate`."""
+        self._config = config
+        self._weights = np.array(
+            [[config.c1], [config.c2], [config.c3], [config.c4]], dtype=float
+        )
+        self._variance_weights = self._weights[1:3]
+        self._f1_scale = config.c1 * (4.0 / self.n1) if self.n1 else 0.0
+        # The F4 flavor folded into (a4, b4, cw), see the gradient below.
+        k = float(self.num_planes)
+        s4 = config.c4 * (2.0 / self.n4)
+        if config.gradient_mode == "paper":
+            a4 = s4 * (k + 1.0 / k)
+            self._f4_flavor = (a4, s4 * (k - 1.0), -a4)
+        elif config.gradient_mode == "exact":
+            self._f4_flavor = (s4 * (k + 1.0 / k), -s4, -s4 / k)
+        else:  # pragma: no cover - config validates this
+            self._f4_flavor = None
 
     # ------------------------------------------------------------------
     def check_w(self, w):
@@ -266,30 +307,6 @@ class FusedKernel:
         return np.ascontiguousarray(w)
 
     # ------------------------------------------------------------------
-    def _variance_pieces(self, w, per_gate_weights):
-        """Shared F2/F3 (eqs. (5)-(6)) pieces on the batch.
-
-        Returns ``(term, deviation, scale)`` with shapes ``(R,)``,
-        ``(R, K)`` and ``(R,)``: the cost term, the per-plane deviations
-        ``B_k - Bbar`` and the gradient prefactor ``2 / (K N)``.
-        Restarts whose mean per-plane sum is zero (degenerate
-        normalizer) get term 0 and scale 0, so their gradient
-        contribution vanishes — mirroring the scalar definition.
-        """
-        # Batched vec-mat product: one identically-sized gemv per restart,
-        # bitwise equal to a single-restart ``weights @ w``.
-        per_plane = np.matmul(per_gate_weights, w)  # (R, K)
-        mean = per_plane.mean(axis=-1)  # (R,)
-        degenerate = mean == 0.0
-        safe_mean = np.where(degenerate, 1.0, mean)
-        deviation = per_plane - mean[:, None]
-        variance = (deviation * deviation).mean(axis=-1)
-        normalizer = (self.num_planes - 1) * safe_mean**2
-        term = np.where(degenerate, 0.0, variance / normalizer)
-        scale = np.where(degenerate, 0.0, 2.0 / (self.num_planes * normalizer))
-        return term, deviation, scale
-
-    # ------------------------------------------------------------------
     def cost_and_gradient(self, w, config, want_gradient=True, out=None):
         """Evaluate all four cost terms and (optionally) the gradient.
 
@@ -297,9 +314,7 @@ class FusedKernel:
         ----------
         w:
             Assignment stack ``(R, G, K)`` (or ``(G, K)``, treated as
-            ``R == 1``).  Assumed already validated/contiguous when it
-            comes from the solver loop; :meth:`check_w` is cheap either
-            way.
+            ``R == 1``); validated by :meth:`check_w`.
         config:
             :class:`~repro.core.config.PartitionConfig` supplying the
             weights ``c1..c4`` and the F4 gradient flavor.
@@ -319,32 +334,45 @@ class FusedKernel:
         """
         w = self.check_w(w)
         num_restarts = w.shape[0]
-        num_planes = self.num_planes
         if OBS.enabled:
-            # The hottest call site in the package: keep the disabled
-            # path to the single attribute check above.
+            # The descent loop calls _evaluate and counts for itself.
             OBS.metrics.counter("kernel.evaluations").inc()
             OBS.metrics.counter("kernel.restart_evaluations").inc(num_restarts)
             if not want_gradient:
                 OBS.metrics.counter("kernel.cost_only_evaluations").inc()
-        if want_gradient:
-            if out is None:
-                out = np.empty_like(w)
-            elif out.shape != w.shape:
-                raise PartitionError(f"out must have shape {w.shape}, got {out.shape}")
-        zeros_r = np.zeros(num_restarts)
+        if not want_gradient:
+            out = None
+        elif out is None:
+            out = np.empty_like(w)
+        elif out.shape != w.shape:
+            raise PartitionError(f"out must have shape {w.shape}, got {out.shape}")
+        terms = self._evaluate(w, num_restarts, config, out)
+        batched = BatchedCostTerms(terms[0], terms[1], terms[2], terms[3], terms[4])
+        return batched, out
 
+    def _evaluate(self, w, n, config, out):
+        """The evaluation behind :meth:`cost_and_gradient`, unchecked.
+
+        ``w`` must be a C-contiguous float ``(n, G, K)`` stack and
+        ``out`` a C-contiguous ``(n, G, K)`` gradient buffer, or
+        ``None`` for a cost-only evaluation.  Returns a fresh ``(5, n)``
+        array whose rows are f1, f2, f3, f4 and the weighted total.
+        The descent loop calls this directly: one evaluation then makes
+        no Python-level call besides :func:`row_sum` and the scatter.
+        """
+        num_planes = self.num_planes
+        terms = np.empty((5, n))
         if num_planes == 1:
             # A single plane has no inter-plane cost, no imbalance and no
             # relaxed integer constraint; everything is exactly zero.
-            terms = BatchedCostTerms(zeros_r, zeros_r, zeros_r, zeros_r, zeros_r.copy())
-            if not want_gradient:
-                return terms, None
-            out.fill(0.0)
-            return terms, out
-
-        self._reserve(num_restarts)
-        n = num_restarts
+            terms.fill(0.0)
+            if out is not None:
+                out.fill(0.0)
+            return terms
+        if n > self._capacity:
+            self._reserve(n)
+        if config is not self._config:
+            self._bind(config)
 
         # Shared intermediates, computed once per evaluation.
         labels = np.matmul(w, self.coeff, out=self._labels[:n])  # (R, G), batched gemv
@@ -354,31 +382,58 @@ class FusedKernel:
         # --- F1 (eq. (4)) cost ----------------------------------------
         per_gate = None
         if self.num_edges == 0:
-            f1 = zeros_r
+            terms[0] = 0.0
         else:
             incidence = self.incidence
             # Gathered straight into C-ordered (R, E) buffers, so every
             # last-axis reduction below runs in the 1-D order (the
             # bitwise equivalence contract).  mode="clip" avoids the
             # defensive copy of ``out`` that bounds checking makes.
-            diff = np.take(labels, incidence.u, axis=1, out=self._edge_diff[:n], mode="clip")
-            power = np.take(labels, incidence.v, axis=1, out=self._edge_pow[:n], mode="clip")
+            diff = labels.take(incidence.u, axis=1, out=self._edge_diff[:n], mode="clip")
+            power = labels.take(incidence.v, axis=1, out=self._edge_pow[:n], mode="clip")
             diff -= power
             # Pow-free factorization: diff^4 = (diff^2)^2 and
             # diff^3 = (diff^2) * diff — numpy's pow loop calls libm per
             # element, an order of magnitude slower.
             diff_sq = np.multiply(diff, diff, out=power)
-            if want_gradient:
+            if out is not None:
                 cube = np.multiply(diff_sq, diff, out=diff)
                 per_gate = incidence.scatter_signed(
                     cube, out=self._per_gate[:n], gathered=self._gathered[:n]
                 )  # (R, G)
             quartic = np.multiply(diff_sq, diff_sq, out=power)
-            f1 = quartic.sum(axis=-1) / self.n1
+            np.add.reduce(quartic, axis=-1, out=terms[0])
+            terms[0] /= self.n1
 
         # --- F2 / F3 (eqs. (5)-(6)) cost ------------------------------
-        f2, dev2, scale2 = self._variance_pieces(w, self.bias)
-        f3, dev3, scale3 = self._variance_pieces(w, self.area)
+        # Row 0 of the stacked (2, R, K) buffer carries the bias (F2),
+        # row 1 the area (F3).  One identically-sized gemv per restart
+        # and term, bitwise equal to a single-restart ``weights @ w``.
+        planes = self._planes[:, :n]
+        np.matmul(self.bias, w, out=planes[0])
+        np.matmul(self.area, w, out=planes[1])
+        mean = np.add.reduce(planes, axis=-1)  # (2, R)
+        mean /= num_planes
+        planes -= mean[..., None]  # deviations B_k - Bbar
+        variance = np.add.reduce(
+            np.multiply(planes, planes, out=self._planes_sq[:, :n]), axis=-1
+        )
+        variance /= num_planes
+        # A zero mean per-plane sum (e.g. an all-zero bias vector) is a
+        # degenerate normalizer: that term is 0 and adds no gradient,
+        # mirroring the scalar definition.  NaN counts as nonzero here,
+        # exactly as ``mean == 0.0`` is False for it.
+        degenerate = not np.logical_and.reduce(mean != 0.0, axis=None)
+        safe_mean = np.where(mean == 0.0, 1.0, mean) if degenerate else mean
+        normalizer = np.multiply(safe_mean, safe_mean)
+        normalizer *= num_planes - 1
+        np.divide(variance, normalizer, out=terms[1:3])
+        scale = np.multiply(normalizer, num_planes)
+        np.divide(2.0, scale, out=scale)  # gradient prefactor 2 / (K N)
+        if degenerate:
+            zero = mean == 0.0
+            terms[1:3][zero] = 0.0
+            scale[zero] = 0.0
 
         # --- F4 (eq. (9)) cost ----------------------------------------
         # Row variance via E[w^2] - mean^2: one full-size elementwise
@@ -391,12 +446,16 @@ class FusedKernel:
         term_var /= num_planes
         term_var -= np.multiply(row_mean, row_mean, out=labels)
         term_sum -= term_var
-        f4 = term_sum.sum(axis=-1) / self.n4
+        np.add.reduce(term_sum, axis=-1, out=terms[3])
+        terms[3] /= self.n4
 
-        total = config.c1 * f1 + config.c2 * f2 + config.c3 * f3 + config.c4 * f4
-        terms = BatchedCostTerms(f1=f1, f2=f2, f3=f3, f4=f4, total=total)
-        if not want_gradient:
-            return terms, None
+        # total = ((c1 f1 + c2 f2) + c3 f3) + c4 f4
+        weighted = np.multiply(terms[:4], self._weights)
+        total = np.add(weighted[0], weighted[1], out=terms[4])
+        total += weighted[2]
+        total += weighted[3]
+        if out is None:
+            return terms
 
         # --- weighted total gradient (eq. (10)) -----------------------
         # Every term's gradient is (a column vector) x (a row vector),
@@ -415,32 +474,24 @@ class FusedKernel:
         #   exact  (2/N4)[(k rm - 1) + (rm - w)/k]:
         #          a4 = s(k + 1/k), b4 = -s,        cw = -s/k
         # where s = c4 (2/N4).
-        k = float(num_planes)
-        s4 = config.c4 * (2.0 / self.n4)
-        if config.gradient_mode == "paper":
-            a4 = s4 * (k + 1.0 / k)
-            b4 = s4 * (k - 1.0)
-            cw = -a4
-        elif config.gradient_mode == "exact":
-            a4 = s4 * (k + 1.0 / k)
-            b4 = -s4
-            cw = -s4 / k
-        else:  # pragma: no cover - config validates this
+        if self._f4_flavor is None:  # pragma: no cover - config validates this
             raise PartitionError(f"unknown gradient mode {config.gradient_mode!r}")
+        a4, b4, cw = self._f4_flavor
 
         left = self._left[:n]  # columns 1 and 2 hold bias and area
         if per_gate is None:
             left[..., 0] = 0.0
         else:
-            np.multiply(per_gate, config.c1 * (4.0 / self.n1), out=left[..., 0])
+            np.multiply(per_gate, self._f1_scale, out=left[..., 0])
         np.multiply(a4, row_mean, out=left[..., 3])
         left[..., 3] += b4
 
-        right = self._right[:n]  # rows 0 and 3 hold [1..K] and 1
-        right[:, 1, :] = config.c2 * scale2[:, None] * dev2
-        right[:, 2, :] = config.c3 * scale3[:, None] * dev3
+        # Rows 0 and 3 of ``right`` hold [1..K] and 1; rows 1 and 2 get
+        # c2 (2/(K N2)) dev2 and c3 (2/(K N3)) dev3.
+        scale *= self._variance_weights
+        np.multiply(scale[..., None], planes, out=self._right_rows[1:3, :n])
 
         # One (G, 4) x (4, K) gemm per restart.
-        gradient = np.matmul(left, right, out=out)
+        gradient = np.matmul(left, self._right[:n], out=out)
         gradient += np.multiply(cw, w, out=square)
-        return terms, gradient
+        return terms

@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.core.coarsening import compose_maps, coarsen_problem, expand_weighted_edges
 from repro.core.optimizer import (
+    _pin_index,
     _reseed_assignment,
     _validate_problem,
     minimize_assignment_batch,
@@ -142,7 +143,7 @@ def minimize_assignment_multilevel(
     if bad_rows.any():
         for r in np.flatnonzero(bad_rows):
             stack[r] = _reseed_assignment(
-                num_gates, num_planes, r, 0, pinned
+                num_gates, num_planes, r, 0, _pin_index(pinned)
             )
         if OBS.enabled:
             OBS.metrics.counter("multilevel.stack_reseeded").inc(int(bad_rows.sum()))

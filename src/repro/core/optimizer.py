@@ -30,18 +30,27 @@ two ``(R, G, K)`` state buffers and alternates them: one holds the
 current ``w``, the other receives the gradient and is stepped, clipped
 and row-normalized in place into the next ``w`` (the kernel keeps its
 own intermediates in its workspace).  Convergence masking compacts
-both buffers in place and continues on their leading rows.  The
-per-restart bookkeeping is array arithmetic too: each iteration
-records which restarts evaluated finitely and their costs, and each
-trace's Python-float ``cost_history``, its ``iterations`` and its
-``final_terms`` are built once, after the loop.
+both buffers in place and continues on their leading rows.
+
+One iteration also makes as few numpy calls as it can: the loop calls
+the kernel's unchecked ``_evaluate`` and keeps the rare events — a
+non-finite or diverging cost (reseed or quarantine), a restart's first
+finite cost, a cost of exactly 0.0 — behind one test per iteration
+(every cost's magnitude under its restart's divergence limit, no
+previous cost equal to 0.0); when it fails, :func:`_screen` and the
+general stop rule run for that iteration.  Each iteration records its
+restarts, their costs (inf where poisoned) and the ``(5, n)`` terms;
+each trace's Python-float ``cost_history``, its ``iterations`` and its
+``final_terms`` (from its last finite record) are rebuilt once, after
+the loop.  Pinned gates are held by two fancy-index writes per step,
+with index arrays built once per solve.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.assignment import normalize_rows, random_assignment
+from repro.core.assignment import normalize_rows, random_assignment, row_sum
 from repro.core.cost import CostTerms
 from repro.core.kernel import FusedKernel
 from repro.obs import OBS
@@ -132,11 +141,28 @@ def _validate_problem(num_planes, bias, pinned):
     return bias, pinned
 
 
-def _clamp_pinned(w, pinned):
-    """Hold pinned rows one-hot; works on ``(G, K)`` and ``(R, G, K)``."""
-    for gate, plane in pinned.items():
-        w[..., gate, :] = 0.0
-        w[..., gate, plane] = 1.0
+def _pin_index(pinned):
+    """``(gates, planes)`` index arrays of a ``{gate: plane}`` mapping.
+
+    ``None`` when nothing is pinned.  Built once per solve, so holding
+    the pins costs two fancy-index writes per iteration.
+    """
+    if not pinned:
+        return None
+    gates = np.fromiter(pinned.keys(), dtype=np.intp, count=len(pinned))
+    planes = np.fromiter(pinned.values(), dtype=np.intp, count=len(pinned))
+    return gates, planes
+
+
+def _clamp_pinned(w, pins):
+    """Hold pinned rows one-hot; works on ``(G, K)`` and ``(R, G, K)``.
+
+    ``pins`` is :func:`_pin_index`'s ``(gates, planes)`` pair or None.
+    """
+    if pins is not None:
+        gates, planes = pins
+        w[..., gates, :] = 0.0
+        w[..., gates, planes] = 1.0
     return w
 
 
@@ -230,7 +256,8 @@ def minimize_assignment_batch(
         )
 
     num_restarts = stack.shape[0]
-    stack = _clamp_pinned(np.ascontiguousarray(stack), pinned)
+    pins = _pin_index(pinned)
+    stack = _clamp_pinned(np.ascontiguousarray(stack), pins)
     if restart_tags is None:
         tags = np.arange(num_restarts)
     else:
@@ -248,11 +275,11 @@ def minimize_assignment_batch(
         for r in range(num_restarts)
     ]
     with OBS.trace.span("descent_batch", restarts=num_restarts):
-        _descend_batch(kernel, config, traces, stack, pinned, obs, run, tags)
+        _descend_batch(kernel, config, traces, stack, pins, obs, run, tags)
     return traces
 
 
-def _reseed_assignment(num_gates, num_planes, restart, attempt, pinned):
+def _reseed_assignment(num_gates, num_planes, restart, attempt, pins):
     """Deterministic fresh initialization of a poisoned restart.
 
     Seeded by (tag, restart index, reseed attempt), so recovery is
@@ -265,7 +292,7 @@ def _reseed_assignment(num_gates, num_planes, restart, attempt, pinned):
         np.random.SeedSequence([_RESEED_TAG, int(restart), int(attempt)])
     )
     w = random_assignment(num_gates, num_planes, rng=rng)
-    return _clamp_pinned(w, pinned)
+    return _clamp_pinned(w, pins)
 
 
 def _compact_rows(buffer, kept):
@@ -279,7 +306,72 @@ def _compact_rows(buffer, kept):
             buffer[i] = buffer[j]
 
 
-def _descend_batch(kernel, config, traces, stack, pinned, obs, run, tags):
+def _screen(cost_new, active, live, gradient, traces, first_cost, limit, tags, pins, obs):
+    """The rare-event half of one iteration: ``(cost_new, bad, quarantine)``.
+
+    Runs only when the loop's one cheap test fails: some cost is
+    non-finite or crosses its restart's divergence limit, or some
+    restart has no first finite cost yet.  Reseeds or quarantines every
+    poisoned row (see :func:`_descend_batch`), records each restart's
+    first finite cost and refreshes the rows' divergence ``limit`` in
+    place: ``DIVERGENCE_FACTOR`` times a positive first cost, inf for a
+    first cost <= 0, NaN while there is none.  ``bad`` marks the
+    poisoned rows, whose returned ``cost_new`` is inf, and
+    ``quarantine`` the ones frozen for good.
+    """
+    num_gates, num_planes = live.shape[1:]
+    cost_bad = ~np.isfinite(cost_new)
+    baseline = first_cost[active]
+    diverged = (
+        ~cost_bad
+        & np.isfinite(baseline)
+        & (baseline > 0.0)
+        & (cost_new > baseline * DIVERGENCE_FACTOR)
+    )
+    bad = cost_bad | diverged
+    quarantine = np.zeros(active.size, dtype=bool)
+    if bad.any():
+        for j in np.flatnonzero(bad):
+            r = int(active[j])
+            if obs is not None:
+                name = "solver.diverged" if diverged[j] else "solver.nonfinite_detected"
+                obs.metrics.counter(name).inc()
+            attempt = traces[r].reseeds + 1
+            if attempt <= MAX_RESEEDS:
+                traces[r].reseeds = attempt
+                live[j] = _reseed_assignment(num_gates, num_planes, tags[r], attempt, pins)
+                first_cost[r] = np.nan
+                if obs is not None:
+                    obs.metrics.counter("solver.restarts_reseeded").inc()
+            else:
+                # Frozen on a uniform (finite, never-winning)
+                # assignment so downstream rounding stays valid.
+                traces[r].quarantined = True
+                live[j] = np.full((num_gates, num_planes), 1.0 / num_planes)
+                _clamp_pinned(live[j], pins)
+                quarantine[j] = True
+                if obs is not None:
+                    obs.metrics.counter("solver.restarts_quarantined").inc()
+            # Neutralize this row for the shared step; a reseeded
+            # restart takes its first real step next iteration, from
+            # cost_old = inf like any fresh start.
+            gradient[j] = 0.0
+        cost_new = np.where(bad, np.inf, cost_new)
+
+    good = ~bad
+    owners = active[good]
+    unset = ~np.isfinite(first_cost[owners])
+    first_cost[owners[unset]] = cost_new[good][unset]
+    baseline = first_cost[active]
+    limit[:] = np.where(
+        baseline > 0.0,
+        baseline * DIVERGENCE_FACTOR,
+        np.where(np.isnan(baseline), np.nan, np.inf),
+    )
+    return cost_new, bad, quarantine
+
+
+def _descend_batch(kernel, config, traces, stack, pins, obs, run, tags):
     """The batched descent loop of :func:`minimize_assignment_batch`.
 
     Split out so the timing span around it stays exception-safe without
@@ -298,16 +390,32 @@ def _descend_batch(kernel, config, traces, stack, pinned, obs, run, tags):
     assignment, while the healthy restarts keep descending untouched.
     On a fully finite problem none of this triggers and the arithmetic
     is bitwise identical to the same restarts solved one at a time.
+
+    All of that sits behind one test per iteration: every cost's
+    magnitude is under its row's divergence ``limit`` (NaN until the
+    restart has a first finite cost, so the test fails then) and no
+    previous cost is exactly 0.0.  When it holds, the margin test is a
+    plain ``|cost_new / cost_old - 1| <= margin``; otherwise
+    :func:`_screen` and the general stop rule run.  A non-finite
+    gradient drives ``w`` non-finite through the update and surfaces as
+    a non-finite *cost* on the next evaluation, so the cost test covers
+    both, one iteration late at worst (the cap-exit path catches the
+    final iteration's stragglers).
     """
     num_restarts, num_gates, num_planes = stack.shape
+    if num_restarts == 0:
+        return
+    margin = config.margin
+    step = -config.learning_rate
+    renormalize = config.renormalize_rows
     first_cost = np.full(num_restarts, np.nan)
+    # Per live row: the previous cost (Algorithm 1's cost_old) and the
+    # divergence limit of the fast test.
     cost_old = np.full(num_restarts, np.inf)
-    iterations = np.zeros(num_restarts, dtype=np.intp)
-    # f1..f4 and total of each restart's latest finite evaluation.
-    last_terms = np.zeros((5, num_restarts))
-    has_terms = np.zeros(num_restarts, dtype=bool)
-    # Per iteration: the restarts that evaluated finitely, and their costs.
-    history_owners, history_costs = [], []
+    limit = np.full(num_restarts, np.nan)
+    # Per iteration: the live restarts, their costs (inf where poisoned)
+    # and the (5, n) f1..f4/total terms.
+    records = []
     final_w = [None] * num_restarts
     # Restart indices still descending; row j of the leading block of
     # both state buffers belongs to restart active[j].
@@ -316,102 +424,67 @@ def _descend_batch(kernel, config, traces, stack, pinned, obs, run, tags):
     row_sums = np.empty((num_restarts, num_gates))
 
     for _ in range(config.max_iterations):
-        if active.size == 0:
-            break
-        live = current[:active.size]
-        terms, gradient = kernel.cost_and_gradient(live, config, out=spare[:active.size])
-        cost_new = terms.total
+        n = active.size
+        live = current[:n]
+        gradient = spare[:n]
+        terms = kernel._evaluate(live, n, config, gradient)
+        cost_new = terms[4]
 
-        # --- poisoned-trajectory detection.  Only O(R) scalar checks
-        # per iteration: a non-finite gradient drives w non-finite
-        # through the update and surfaces as a non-finite *cost* on the
-        # next evaluation, so the cost check covers both one iteration
-        # late at worst (the cap-exit path below catches the final
-        # iteration's stragglers).
-        cost_bad = ~np.isfinite(cost_new)
-        baseline = first_cost[active]
-        diverged = (
-            ~cost_bad
-            & np.isfinite(baseline)
-            & (baseline > 0.0)
-            & (cost_new > baseline * DIVERGENCE_FACTOR)
-        )
-        bad = cost_bad | diverged
-        quarantine = np.zeros(active.size, dtype=bool)
-        if bad.any():
-            for j in np.flatnonzero(bad):
-                r = int(active[j])
-                if obs is not None:
-                    name = "solver.diverged" if diverged[j] else "solver.nonfinite_detected"
-                    obs.metrics.counter(name).inc()
-                attempt = traces[r].reseeds + 1
-                if attempt <= MAX_RESEEDS:
-                    traces[r].reseeds = attempt
-                    live[j] = _reseed_assignment(
-                        num_gates, num_planes, tags[r], attempt, pinned
-                    )
-                    first_cost[r] = np.nan
-                    if obs is not None:
-                        obs.metrics.counter("solver.restarts_reseeded").inc()
-                else:
-                    # Frozen on a uniform (finite, never-winning)
-                    # assignment so downstream rounding stays valid.
-                    traces[r].quarantined = True
-                    live[j] = np.full((num_gates, num_planes), 1.0 / num_planes)
-                    _clamp_pinned(live[j], pinned)
-                    quarantine[j] = True
-                    if obs is not None:
-                        obs.metrics.counter("solver.restarts_quarantined").inc()
-                # Neutralize this row for the shared step below; a
-                # reseeded restart takes its first real step next
-                # iteration, from cost_old = inf like any fresh start.
-                gradient[j] = 0.0
-            cost_new = np.where(bad, np.inf, cost_new)
-
-        good = ~bad
-        owners = active[good]
-        history_owners.append(owners)
-        history_costs.append(cost_new[good])
-        for row, values in enumerate((terms.f1, terms.f2, terms.f3, terms.f4, terms.total)):
-            last_terms[row, owners] = values[good]
-        has_terms[owners] = True
-        unset = ~np.isfinite(first_cost[owners])
-        first_cost[owners[unset]] = cost_new[good][unset]
-
-        # Algorithm 1 line 14, vectorized per restart (cost_old is inf on
-        # each restart's first pass, so nothing stops before one step;
-        # poisoned rows carry cost_new = inf, so they never stop here).
-        old = cost_old[active]
-        finite = np.isfinite(old) & (old != 0.0)
-        ratio = np.abs(
-            np.where(finite, cost_new, 0.0) / np.where(finite, old, 1.0) - 1.0
-        )
-        stop = (finite & (ratio <= config.margin)) | ((old == 0.0) & (cost_new == 0.0))
+        healthy = np.less(np.abs(cost_new), limit)
+        healthy &= cost_old != 0.0
+        if np.logical_and.reduce(healthy):
+            # Algorithm 1 line 14; every cost_old is finite and nonzero.
+            ratio = np.divide(cost_new, cost_old)
+            ratio -= 1.0
+            np.abs(ratio, out=ratio)
+            stop = np.less_equal(ratio, margin)
+            drop = stop
+            bad = None
+        else:
+            cost_new, bad, quarantine = _screen(
+                cost_new, active, live, gradient, traces, first_cost, limit, tags, pins, obs
+            )
+            # Line 14 with its edge cases: cost_old is inf on each
+            # restart's first pass (and after a reseed), so nothing stops
+            # before one step; poisoned rows carry cost_new = inf, so
+            # they never stop here; a cost that reaches exactly 0.0
+            # stops on the next 0.0.
+            finite = np.isfinite(cost_old) & (cost_old != 0.0)
+            ratio = np.abs(
+                np.where(finite, cost_new, 0.0) / np.where(finite, cost_old, 1.0) - 1.0
+            )
+            stop = (finite & (ratio <= margin)) | ((cost_old == 0.0) & (cost_new == 0.0))
+            drop = stop | quarantine
+        records.append((active, cost_new, terms))
 
         if obs is not None:
+            obs.metrics.counter("kernel.evaluations").inc()
+            obs.metrics.counter("kernel.restart_evaluations").inc(n)
+            if bad is None:
+                bad = np.zeros(n, dtype=bool)
+                finite = ~bad
             # Read-only pass over this iteration's evaluation, taken
             # before the in-place descent step reuses the gradient
             # buffer.  A restart stopping this iteration never computes
-            # a step, so its grad_norm is recorded as None.  Poisoned rows are skipped — their term
-            # values are non-finite and the restart restarts from
-            # scratch anyway.
+            # a step, so its grad_norm is recorded as None.  Poisoned
+            # rows are skipped — their term values are non-finite and
+            # the restart restarts from scratch anyway.  A restart's
+            # steps so far equal its records so far.
             grad_norms = np.sqrt(np.einsum("rgk,rgk->r", gradient, gradient))
-            alive = int(active.size)
             for j, r in enumerate(active):
                 if bad[j]:
                     continue
                 record = obs.telemetry.record(
-                    run, int(r), int(iterations[r]),
-                    float(terms.f1[j]), float(terms.f2[j]), float(terms.f3[j]),
-                    float(terms.f4[j]), float(cost_new[j]),
+                    run, int(r), len(traces[r].telemetry),
+                    float(terms[0, j]), float(terms[1, j]), float(terms[2, j]),
+                    float(terms[3, j]), float(cost_new[j]),
                     float(ratio[j]) if finite[j] else None,
-                    None if stop[j] else float(grad_norms[j]), alive,
+                    None if stop[j] else float(grad_norms[j]), n,
                 )
                 traces[r].telemetry.append(record)
 
-        drop = stop | quarantine
-        if drop.any():
-            for j in np.flatnonzero(drop):
+        if np.logical_or.reduce(drop):
+            for j in drop.nonzero()[0]:
                 r = int(active[j])
                 traces[r].converged = bool(stop[j])
                 final_w[r] = live[j].copy()
@@ -419,13 +492,14 @@ def _descend_batch(kernel, config, traces, stack, pinned, obs, run, tags):
             active = active[keep]
             if active.size == 0:
                 break
-            kept = np.flatnonzero(keep)
+            kept = keep.nonzero()[0]
             _compact_rows(live, kept)
             _compact_rows(gradient, kept)
-            live = live[:active.size]
-            gradient = gradient[:active.size]
+            n = active.size
+            live = live[:n]
+            gradient = gradient[:n]
             cost_new = cost_new[keep]
-            bad = bad[keep]
+            limit = limit[keep]
 
         # In-place descent step into the gradient buffer, which becomes
         # the next ``w``.  Bitwise identical to ``clip(live - lr *
@@ -433,47 +507,55 @@ def _descend_batch(kernel, config, traces, stack, pinned, obs, run, tags):
         # ``a + (-b) == a - b``.  Rows reseeded this iteration carry a
         # zeroed gradient, so the step leaves their fresh initialization
         # untouched.
-        gradient *= -config.learning_rate
+        gradient *= step
         gradient += live
-        np.clip(gradient, 0.0, 1.0, out=gradient)
-        if config.renormalize_rows:
-            normalize_rows(gradient, out=gradient, sums=row_sums[:active.size])
-        if pinned:
-            _clamp_pinned(gradient, pinned)
-        iterations[active[~bad]] += 1
-        cost_old[active] = cost_new
+        gradient.clip(0.0, 1.0, out=gradient)
+        if renormalize:
+            # normalize_rows inlined for its common case (every row sum
+            # positive; NaN fails the test too).
+            sums = row_sum(gradient, out=row_sums[:n])
+            if np.minimum.reduce(sums, axis=None) > 0.0:
+                np.divide(gradient, sums[..., None], out=gradient)
+            else:
+                normalize_rows(gradient, out=gradient, sums=sums)
+        if pins is not None:
+            _clamp_pinned(gradient, pins)
+        cost_old = cost_new
         current, spare = spare, current
 
     # Restarts stopped by the iteration cap keep their last stepped w.
-    # A gradient that went non-finite
-    # on the very last iteration leaves w poisoned with no further cost
-    # evaluation to flag it, so quarantine those rows here.
-    for j, r in enumerate(active):
-        r = int(r)
+    # A gradient that went non-finite on the very last iteration leaves
+    # w poisoned with no further cost evaluation to flag it, so
+    # quarantine those rows here.
+    no_terms = set()
+    for j, r in enumerate(active.tolist()):
         if np.isfinite(current[j]).all():
             final_w[r] = current[j].copy()
         else:
             traces[r].quarantined = True
-            final_w[r] = np.full((num_gates, num_planes), 1.0 / num_planes)
-            _clamp_pinned(final_w[r], pinned)
-            has_terms[r] = False
+            final_w[r] = _clamp_pinned(np.full((num_gates, num_planes), 1.0 / num_planes), pins)
+            no_terms.add(r)
             if obs is not None:
                 obs.metrics.counter("solver.nonfinite_detected").inc()
                 obs.metrics.counter("solver.restarts_quarantined").inc()
 
-    # Each restart's history in iteration order: a stable sort by owner.
-    owners = np.concatenate(history_owners) if history_owners else np.zeros(0, np.intp)
-    costs = np.concatenate(history_costs) if history_costs else np.zeros(0)
+    # Each restart's finite records in iteration order: a stable sort by
+    # owner.  Every finite evaluation was followed by a step, except the
+    # one that fired the margin stop.
+    owners, costs, terms = (np.concatenate(parts, axis=-1) for parts in zip(*records))
+    finite = np.isfinite(costs)
+    owners, costs, terms = owners[finite], costs[finite], terms[:, finite]
     order = np.argsort(owners, kind="stable")
     costs = costs[order].tolist()
-    ends = np.cumsum(np.bincount(owners, minlength=num_restarts)).tolist()
+    counts = np.bincount(owners, minlength=num_restarts).tolist()
     start = 0
     for r, trace in enumerate(traces):
+        end = start + counts[r]
         trace.w = final_w[r]
-        trace.cost_history = costs[start:ends[r]]
-        start = ends[r]
-        trace.iterations = int(iterations[r])
-        if has_terms[r]:
+        trace.cost_history = costs[start:end]
+        trace.iterations = counts[r] - int(trace.converged)
+        if counts[r] and r not in no_terms:
             # A quarantined restart that never produced a finite
             # evaluation has no terms to materialize.
-            trace.final_terms = CostTerms(*last_terms[:, r].tolist())
+            trace.final_terms = CostTerms(*terms[:, order[end - 1]].tolist())
+        start = end

@@ -327,3 +327,58 @@ def test_gradient_written_into_out_buffer():
     assert np.array_equal(out, expected)
     with pytest.raises(PartitionError, match="out must have shape"):
         kernel.cost_and_gradient(w, CONFIG, out=np.empty((2,) + w.shape))
+
+
+# ----------------------------------------------------------------------
+# F2/F3 on one stacked (2, R, K) buffer: degenerate means
+# ----------------------------------------------------------------------
+def _degenerate_case(case):
+    """A 3-restart problem whose F2 and/or F3 mean per-plane sum is 0.
+
+    ``bias``/``area`` zero the whole vector for every restart;
+    ``one-restart`` leaves the bias nonzero on gate 0 only and empties
+    gate 0's row in restart 1, so only that restart's F2 is degenerate.
+    """
+    _, edges, bias, area = _problem(num_gates=10, num_edges=16, seed=11)
+    w = np.random.default_rng(12).dirichlet(np.ones(4), size=(3, bias.size))
+    if case == "bias":
+        bias = np.zeros_like(bias)
+    elif case == "area":
+        area = np.zeros_like(area)
+    else:
+        bias = np.zeros_like(bias)
+        bias[0] = 0.7
+        w[1, 0, :] = 0.0
+    return w, edges, bias, area
+
+
+@pytest.mark.parametrize("case", ["bias", "area", "one-restart"])
+@pytest.mark.parametrize("mode", ["paper", "exact"])
+def test_fused_variance_terms_with_degenerate_mean(case, mode):
+    """F2's mean degenerate while F3's is not, the reverse, and a batch
+    where only one restart's F2 is degenerate: terms and gradient match
+    the per-term oracle, and each restart's batched evaluation is bitwise
+    its 1-restart evaluation."""
+    w, edges, bias, area = _degenerate_case(case)
+    config = PartitionConfig(c1=2.0, c2=3.0, c3=5.0, c4=7.0, gradient_mode=mode)
+    kernel = FusedKernel(w.shape[2], edges, bias, area)
+    terms, gradient = kernel.cost_and_gradient(w, config)
+    degenerate = {"bias": [0, 1, 2], "area": [0, 1, 2], "one-restart": [1]}[case]
+    for r in range(w.shape[0]):
+        reference = cost.cost_terms(w[r], edges, bias, area, config)
+        for name in ("f1", "f2", "f3", "f4", "total"):
+            np.testing.assert_allclose(
+                getattr(terms, name)[r], getattr(reference, name), rtol=RTOL, atol=0.0
+            )
+        zero_term = terms.f3[r] if case == "area" else terms.f2[r]
+        assert (zero_term == 0.0) == (r in degenerate)
+        expected = gradients.cost_gradient(w[r], edges, bias, area, config)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(gradient[r], expected, rtol=RTOL, atol=RTOL * scale)
+
+        single_terms, single_gradient = FusedKernel(
+            w.shape[2], edges, bias, area
+        ).cost_and_gradient(w[r], config)
+        for name in ("f1", "f2", "f3", "f4", "total"):
+            assert _bits(getattr(single_terms, name))[0] == _bits(getattr(terms, name))[r]
+        assert np.array_equal(_bits(single_gradient[0]), _bits(gradient[r]))

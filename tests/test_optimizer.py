@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.assignment import random_assignment
 from repro.core.config import PartitionConfig
-from repro.core.cost import cost_terms
+from repro.core.cost import CostTerms, cost_terms
 from repro.core.optimizer import minimize_assignment_batch
 from repro.utils.errors import PartitionError
 
@@ -206,3 +206,87 @@ def test_concurrent_solves_match_sequential():
         sys.setswitchinterval(interval)
     for got, want in zip(results, expected):
         _traces_equal(got, want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cost_reaching_exactly_zero_stops_on_the_next_zero():
+    """A huge step on one edge drives both rows uniform, where every
+    term is exactly 0.0.  The stop rule's ``old == 0 and new == 0``
+    case ends the descent on the second 0.0 (the ratio test cannot
+    divide by a zero ``cost_old``), with no floating-point warning.
+    The stop iterations are pinned exactly."""
+    edges = np.array([[0, 1]])
+    bias = np.array([0.5, 1.5])
+    area = np.array([100.0, 300.0])
+    config = PartitionConfig(learning_rate=1e6, restarts=3)
+    w0 = np.array([[[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.5], [0.5, 0.5]]])
+    traces = minimize_assignment_batch(2, edges, bias, area, config, rngs=4)
+    traces += minimize_assignment_batch(2, edges, bias, area, config, w0=w0)
+    assert [t.iterations for t in traces] == [3, 3, 2, 2, 1]
+    for trace in traces:
+        assert trace.converged
+        assert trace.cost_history[-2:] == [0.0, 0.0]
+        assert len(trace.cost_history) == trace.iterations + 1
+        assert all(cost != 0.0 for cost in trace.cost_history[:-2])
+        assert trace.final_terms == CostTerms(0.0, 0.0, 0.0, 0.0, 0.0)
+        assert np.array_equal(trace.w, np.full((2, 2), 0.5))
+
+
+#: Python-level calls the descent loop and the kernel make per plain
+#: iteration: ``_evaluate``, ``row_sum`` three times (row means, the F4
+#: row variance, the step's row normalization), ``scatter_signed`` and
+#: the ``_clip`` behind ``ndarray.clip``.
+CALL_BUDGET = 6
+
+
+def test_descent_iteration_python_call_budget():
+    """Count, with ``sys.setprofile``, the Python-level calls made from
+    repro code per kernel evaluation inside ``_descend_batch`` on a
+    finite KSA16 K=4 solve.  Calls numpy's own Python code makes are
+    not counted, so the budget does not depend on the numpy version;
+    a numpy wrapper (``np.take``, ``ndarray.mean``, ``np.where``...)
+    called from the loop or the kernel counts once."""
+    import os
+    import statistics
+    import sys
+
+    import repro
+    from repro.circuits.suite import build_circuit
+    from repro.core import optimizer
+    from repro.core.kernel import FusedKernel
+
+    netlist = build_circuit("KSA16")
+    package = os.path.dirname(repro.__file__)
+    loop, evaluate = optimizer._descend_batch.__code__, FusedKernel._evaluate.__code__
+    counts = []
+    inside = False
+
+    def profile(frame, event, arg):
+        nonlocal inside
+        if event != "call":
+            return
+        if frame.f_code is loop:
+            inside = True
+            return
+        if not inside:
+            return
+        if frame.f_code is evaluate:
+            counts.append(0)
+        caller = frame.f_back
+        if counts and caller is not None and caller.f_code.co_filename.startswith(package):
+            counts[-1] += 1
+
+    sys.setprofile(profile)
+    try:
+        traces = minimize_assignment_batch(
+            4, netlist.edge_array(), netlist.bias_vector_ma(), netlist.area_vector_um2(),
+            PartitionConfig(), rngs=2020,
+        )
+    finally:
+        sys.setprofile(None)
+    assert all(t.reseeds == 0 and not t.quarantined for t in traces)
+    assert len(counts) == max(t.iterations + t.converged for t in traces)
+    # Iterations that drop a converged restart, and the bookkeeping after
+    # the loop (counted with the last evaluation), make a few more.
+    assert statistics.median(counts) <= CALL_BUDGET
+    assert sum(counts) / len(counts) <= CALL_BUDGET + 0.5

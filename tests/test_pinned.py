@@ -96,3 +96,48 @@ def test_repair_never_moves_pinned(library, fast_config):
     )
     assert result.labels[0] == 0
     assert (result.plane_sizes() > 0).all()
+
+
+def _clamp_pinned_per_gate(w, pins):
+    """Reference clamp: one loop step per pinned gate."""
+    if pins is not None:
+        for gate, plane in zip(*pins):
+            w[..., gate, :] = 0.0
+            w[..., gate, plane] = 1.0
+    return w
+
+
+def test_vectorized_pin_clamp_matches_per_gate_loop(monkeypatch):
+    """85 pinned KSA16 gates: the batched descent and a multilevel solve
+    (whose coarse problem carries the pins too) are bitwise what they
+    are with the clamp written as one loop step per gate."""
+    from repro.circuits.suite import build_circuit
+    from repro.core import optimizer
+    from repro.core.config import PartitionConfig
+
+    netlist = build_circuit("KSA16")
+    edges = netlist.edge_array()
+    bias, area = netlist.bias_vector_ma(), netlist.area_vector_um2()
+    pinned = {gate: gate % 4 for gate in range(0, netlist.num_gates, 7)}
+    assert len(pinned) >= 50
+    config = PartitionConfig(restarts=3, max_iterations=150)
+
+    def solve():
+        batched = minimize_assignment_batch(4, edges, bias, area, config, rngs=8, pinned=pinned)
+        result = partition(
+            netlist, 4, config=config.with_(engine="multilevel"), seed=8, pinned=pinned
+        )
+        return batched + [result.trace], result.labels
+
+    traces, labels = solve()
+    monkeypatch.setattr(optimizer, "_clamp_pinned", _clamp_pinned_per_gate)
+    reference, reference_labels = solve()
+    assert np.array_equal(labels, reference_labels)
+    for got, want in zip(traces, reference):
+        assert np.array_equal(got.w, want.w)
+        assert got.cost_history == want.cost_history
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert got.final_terms == want.final_terms
+    for trace in traces[:3]:
+        for gate, plane in pinned.items():
+            assert np.array_equal(trace.w[gate], np.eye(4)[plane])

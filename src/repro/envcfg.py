@@ -13,8 +13,7 @@ exist.  This module is that place:
   cannot ship undocumented (``tests/test_envcfg.py`` additionally
   greps the source tree for strays).
 * Typed accessors — :func:`raw`, :func:`number`, :func:`flag_disabled`,
-  :func:`flag_enabled`, :func:`choice` — with the exact
-  parsing/validation semantics the
+  :func:`choice` — with the exact parsing/validation semantics the
   subsystems used before (error message format included; several tests
   assert on those messages).
 
@@ -97,13 +96,7 @@ ENV_VARS = (
     EnvVar("REPRO_JOB_TIMEOUT", "seconds > 0", "unlimited",
            "repro.harness.runner",
            "Per-job-attempt wall-clock limit; a timed-out attempt "
-           "terminates the worker pool and is retried."),
-    EnvVar("REPRO_MEGABATCH", "flag", "disabled",
-           "repro.service.jobs",
-           "1/true/yes/on lets a service worker drain queued partition "
-           "jobs that share the head job's pack key (at most 16) into "
-           "one batch, which the runner solves packed.  Per-job results "
-           "are bitwise-identical to solo solves."),
+           "kills its pool slot's process and is retried."),
     EnvVar("REPRO_RETRIES", "int >= 0", "2",
            "repro.harness.runner",
            "Retries per failed job (additional attempts after the "
@@ -264,17 +257,6 @@ def flag_disabled(name, environ=None):
     turned off deliberately.
     """
     return raw(name, environ).lower() in DISABLED_VALUES
-
-
-def flag_enabled(name, environ=None):
-    """True when the variable is explicitly one of 1/true/yes/on.
-
-    Unset (or any other value) means *disabled* — the mirror image of
-    :func:`flag_disabled`, for opt-in switches such as
-    ``REPRO_MEGABATCH`` that default off and are only turned on
-    deliberately.
-    """
-    return raw(name, environ).lower() in TRUTHY_VALUES
 
 
 def choice(name, allowed, default, environ=None):

@@ -5,20 +5,25 @@
 each admitted job here instead of solving locally; worker nodes pull
 the queue over the ``/fleet/v1`` HTTP routes and report results back.
 
-Failure handling reuses the PR-4 taxonomy end to end:
+Attempts, backoff, validation and giving up belong to the
+:class:`~repro.harness.leases.LeaseQueue` inside — the same state
+machine :func:`repro.harness.runner.run_jobs` drains — so a fleet job
+fails exactly like a local one:
 
 * a worker reporting a failed attempt (``crashed`` / ``timed-out`` /
   ``invalid-result`` / ``cache-corrupt``) charges one retry and the job
-  is requeued after the runner's exponential backoff
-  (:func:`repro.harness.runner.retry_delay`);
-* a returned payload is validated with
-  :func:`repro.harness.runner.validate_payload` — garbage counts as an
-  ``invalid-result`` attempt, exactly like a corrupt pool worker;
-* a lease whose deadline passes without a heartbeat extension (worker
-  death, hang, network partition) is reclaimed by the reaper thread and
-  charged as a ``timed-out`` attempt;
-* a job that exhausts its retries fails with the full failure history,
-  same as :func:`repro.harness.runner.run_jobs`.
+  is requeued after the exponential backoff
+  (:func:`repro.harness.leases.retry_delay`);
+* a returned payload is validated by the queue — garbage counts as an
+  ``invalid-result`` attempt, exactly like a corrupt pool slot;
+* a job that exhausts its retries fails with the full failure history.
+
+What this class adds is what HTTP workers need on top of the queue: a
+worker roster, wire-serialized grants (compatible jobs are granted
+together, up to the worker's ``max_jobs``), heartbeats that extend a
+lease's deadline, and a reaper thread that charges a lease whose
+deadline passes (worker death, hang, network partition) as a
+``timed-out`` attempt.
 
 Thread safety: one condition variable guards the queue, the lease
 table and the worker roster; lease requests long-poll on it so work is
@@ -30,14 +35,8 @@ import time
 import uuid
 
 from repro.harness.checkpoint import payload_from_jsonable
-from repro.harness.runner import (
-    JOB_ERROR_KINDS,
-    JobFailure,
-    resolve_backoff,
-    resolve_retries,
-    retry_delay,
-    validate_payload,
-)
+from repro.harness.leases import JOB_ERROR_KINDS, LeaseQueue, LeaseTask
+from repro.harness.runner import resolve_backoff, resolve_retries
 from repro.harness.wire import job_to_wire
 from repro.fleet.protocol import resolve_heartbeat, resolve_lease_ttl
 from repro.utils.errors import ReproError
@@ -45,32 +44,20 @@ from repro.utils.errors import ReproError
 #: Upper bound on one lease long-poll, whatever the worker asked for.
 MAX_LEASE_WAIT = 30.0
 
-#: Finished tasks beyond this many are evicted oldest-first.
-MAX_FINISHED_TASKS = 1024
 
-
-class FleetTask:
+class FleetTask(LeaseTask):
     """One job's journey through the fleet queue."""
 
-    __slots__ = ("id", "key", "job", "request", "trace", "tracing", "job_id",
-                 "index", "state", "attempts", "failures", "not_before",
-                 "payload", "snapshot", "error", "done_event", "worker")
+    __slots__ = ("key", "request", "trace", "tracing", "job_id", "error",
+                 "done_event", "worker")
 
     def __init__(self, key, job, request, trace, tracing, job_id, index):
-        self.id = uuid.uuid4().hex[:16]
+        super().__init__(job, index)
         self.key = key
-        self.job = job                # SuiteJob
         self.request = request        # canonical request dict (store meta)
         self.trace = trace            # TraceContext wire dict or None
         self.tracing = bool(tracing)  # deep solver capture requested
         self.job_id = job_id          # service Job id (event correlation)
-        self.index = index            # submit order (JobFailure.index)
-        self.state = "pending"        # pending | leased | done | failed
-        self.attempts = 0             # leases granted so far
-        self.failures = []            # JobFailure records, oldest first
-        self.not_before = 0.0         # backoff gate for the next lease
-        self.payload = None           # decoded execute_job payload
-        self.snapshot = None          # worker obs snapshot (deep tracing)
         self.error = None
         self.done_event = threading.Event()
         self.worker = None            # worker id of the completing node
@@ -103,10 +90,8 @@ class FleetCoordinator:
             else max(0.05, min(1.0, self.lease_ttl / 4.0))
         )
         self._cond = threading.Condition()
-        self._pending = []            # FleetTasks awaiting a lease
+        self._queue = LeaseQueue(self.retries, self.backoff, pack=True)
         self._leases = {}             # lease id -> (task, worker_id, deadline)
-        self._tasks = {}              # task id -> FleetTask
-        self._finished_order = []     # finished task ids, oldest first
         self._workers = {}            # worker id -> roster record
         self._index = 0
         self._running = False
@@ -129,7 +114,7 @@ class FleetCoordinator:
 
     def _refresh_gauges_locked(self):
         self._gauge_locked("fleet.workers", len(self._workers))
-        self._gauge_locked("fleet.jobs.pending", len(self._pending))
+        self._gauge_locked("fleet.jobs.pending", len(self._queue.pending))
         self._gauge_locked("fleet.jobs.leased", len(self._leases))
 
     # -- lifecycle -----------------------------------------------------
@@ -167,8 +152,7 @@ class FleetCoordinator:
             task = FleetTask(key, suite_job, request, trace, tracing,
                              job_id, self._index)
             self._index += 1
-            self._tasks[task.id] = task
-            self._pending.append(task)
+            self._queue.submit(task)
             self._inc_locked("fleet.jobs.submitted")
             self._refresh_gauges_locked()
             self._cond.notify_all()
@@ -187,34 +171,32 @@ class FleetCoordinator:
             record["last_seen"] = now
         return record
 
-    def _grant_locked(self, worker_id, now):
-        """Pop the first leasable pending task, or ``None``."""
-        for position, task in enumerate(self._pending):
-            if task.not_before <= now:
-                del self._pending[position]
-                break
-        else:
-            return None
-        task.state = "leased"
-        task.attempts += 1
-        lease_id = uuid.uuid4().hex[:16]
-        self._leases[lease_id] = (task, worker_id, now + self.lease_ttl)
+    def _grant_locked(self, worker_id, now, limit):
+        """Lease the queue's next grant (at most ``limit`` tasks) to
+        ``worker_id``; ``[(task, wire grant), ...]``, empty when nothing
+        is eligible."""
+        granted = []
         record = self._roster_locked(worker_id)
-        record["leases"].add(lease_id)
-        self._gauge_locked(f"fleet.worker.{worker_id}.leases",
-                           len(record["leases"]))
-        self._inc_locked("fleet.lease.granted")
-        return task, {
-            "lease": lease_id,
-            "key": task.key,
-            "attempt": task.attempts,
-            "deadline_s": self.lease_ttl,
-            "heartbeat_s": self.heartbeat_s,
-            "job": job_to_wire(task.job),
-            "request": task.request,
-            "trace": task.trace,
-            "tracing": task.tracing,
-        }
+        for task in self._queue.grant(now, limit):
+            lease_id = uuid.uuid4().hex[:16]
+            self._leases[lease_id] = (task, worker_id, now + self.lease_ttl)
+            record["leases"].add(lease_id)
+            self._inc_locked("fleet.lease.granted")
+            granted.append((task, {
+                "lease": lease_id,
+                "key": task.key,
+                "attempt": task.attempts,
+                "deadline_s": self.lease_ttl,
+                "heartbeat_s": self.heartbeat_s,
+                "job": job_to_wire(task.job),
+                "request": task.request,
+                "trace": task.trace,
+                "tracing": task.tracing,
+            }))
+        if granted:
+            self._gauge_locked(f"fleet.worker.{worker_id}.leases",
+                               len(record["leases"]))
+        return granted
 
     def lease(self, worker_id, max_jobs=1, wait=0.0):
         """Grant up to ``max_jobs`` leases, long-polling up to ``wait`` s."""
@@ -228,10 +210,11 @@ class FleetCoordinator:
             while True:
                 now = time.time()
                 while len(grants) < max_jobs:
-                    granted = self._grant_locked(worker_id, now)
-                    if granted is None:
+                    granted = self._grant_locked(worker_id, now,
+                                                 max_jobs - len(grants))
+                    if not granted:
                         break
-                    grants.append(granted)
+                    grants.extend(granted)
                 if grants or not self._running:
                     break
                 remaining = deadline - time.monotonic()
@@ -239,9 +222,9 @@ class FleetCoordinator:
                     break
                 # Wake early for the nearest backoff gate so a job in
                 # backoff is handed out the moment it becomes eligible.
-                gates = [task.not_before - now for task in self._pending
-                         if task.not_before > now]
-                pause = min([remaining] + [max(0.01, g) for g in gates])
+                gate = self._queue.next_gate()
+                pause = remaining if gate is None else min(
+                    remaining, max(0.01, gate - now))
                 self._cond.wait(timeout=min(pause, 0.5))
             if not grants:
                 self._inc_locked("fleet.lease.empty")
@@ -298,15 +281,13 @@ class FleetCoordinator:
                 except Exception as error:  # noqa: BLE001 - worker data
                     decoded, problem = None, f"payload does not decode: {error}"
                 else:
-                    problem = validate_payload(task.job, decoded)
+                    problem = self._queue.complete(task, decoded)
                 if problem is None:
-                    task.state = "done"
-                    task.payload = decoded
                     task.snapshot = snapshot
                     task.worker = worker_id
                     record["completed"] += 1
                     self._inc_locked("fleet.completions")
-                    self._finish_locked(task)
+                    task.done_event.set()
                     finish = ("fleet.completed", task,
                               {"worker": worker_id, "attempt": task.attempts})
                     status = "accepted"
@@ -333,14 +314,10 @@ class FleetCoordinator:
 
     # -- failure accounting --------------------------------------------
     def _fail_attempt_locked(self, task, kind, message):
-        """Charge one failed attempt; requeue or exhaust the task."""
-        failure = JobFailure(index=task.index, kind=kind,
-                             attempt=task.attempts, message=message)
-        task.failures.append(failure)
+        """Charge one failed attempt; the queue requeues or exhausts it."""
+        self._queue.fail(task, kind, message)
         self._inc_locked(f"fleet.failures.{kind}")
-        delay = retry_delay(len(task.failures), self.retries, self.backoff)
-        if delay is None:
-            task.state = "failed"
+        if task.state == "failed":
             history = "; ".join(
                 f"attempt {f.attempt}: {f.kind}: {f.message}"
                 for f in task.failures
@@ -350,25 +327,14 @@ class FleetCoordinator:
                 f"({self.retries} retries): {history}"
             )
             self._inc_locked("fleet.jobs.failed")
-            self._finish_locked(task)
+            task.done_event.set()
             self._emit("fleet.failed", task, kind=kind, attempts=task.attempts)
             return "failed"
-        task.state = "pending"
-        task.not_before = time.time() + delay
-        self._pending.append(task)
         self._inc_locked("fleet.requeues")
         self._inc_locked("fleet.retries")
         self._emit("fleet.requeued", task, kind=kind, attempt=task.attempts,
                    message=message)
         return "requeued"
-
-    def _finish_locked(self, task):
-        task.done_event.set()
-        self._finished_order.append(task.id)
-        while len(self._finished_order) > MAX_FINISHED_TASKS:
-            evicted = self._finished_order.pop(0)
-            if evicted != task.id:
-                self._tasks.pop(evicted, None)
 
     # -- reaper ---------------------------------------------------------
     def reap_expired(self, now=None):
@@ -410,7 +376,7 @@ class FleetCoordinator:
     # -- introspection ---------------------------------------------------
     def pending_count(self):
         with self._cond:
-            return len(self._pending)
+            return len(self._queue.pending)
 
     def leased_count(self):
         with self._cond:
@@ -434,7 +400,7 @@ class FleetCoordinator:
             ]
             return {
                 "workers": workers,
-                "pending": len(self._pending),
+                "pending": len(self._queue.pending),
                 "leased": len(self._leases),
                 "lease_ttl_s": self.lease_ttl,
                 "heartbeat_s": self.heartbeat_s,

@@ -4,10 +4,14 @@ A :class:`FleetWorker` is a pull-based execution node: it long-polls
 ``POST /fleet/v1/lease`` on the coordinator, executes each leased job
 through the exact :func:`repro.harness.runner.run_jobs` path every
 other execution mode uses (so payloads are bitwise-identical to a local
-run, and a multi-job lease packs compatible jobs into one solve),
-publishes the payload into the shared content-addressed result store,
-and reports back with ``POST /fleet/v1/complete``.  A daemon thread
-heartbeats every active lease at the coordinator-provided period.
+run, and a multi-job lease packs compatible jobs into one solve), and
+reports back with ``POST /fleet/v1/complete``; the coordinator's
+service stores the result.  A daemon thread heartbeats every active
+lease at the coordinator-provided period.
+
+Each lease is one attempt: ``run_jobs`` runs with ``retries=0`` and a
+failed attempt is reported with its failure kind, so the coordinator is
+the only thing that retries.
 
 Fault injection (``REPRO_FAULT``) is honored *at the node level*: the
 plan is parsed once at startup and removed from the worker's own
@@ -54,15 +58,13 @@ class FleetWorker:
     """One pull-based execution node; see the module docstring."""
 
     def __init__(self, coordinator_url, worker_id=None, max_inflight=None,
-                 poll=None, store=None, fault_plan=None, verbose=False):
+                 poll=None, fault_plan=None, verbose=False):
         from repro.service.client import ServiceClient
-        from repro.service.store import ResultStore
 
         self.client = ServiceClient(coordinator_url)
         self.worker_id = resolve_worker_id(worker_id)
         self.max_inflight = resolve_max_inflight(max_inflight)
         self.poll = resolve_poll(poll)
-        self.store = store if store is not None else ResultStore()
         self.verbose = verbose
         if fault_plan is None:
             # Claim the node's fault plan for ourselves: the runner
@@ -166,27 +168,25 @@ class FleetWorker:
                 ctx = TraceContext.from_wire(lease["trace"])
             snapshot = None
             if ctx is None:
-                payloads = run_jobs([suite_job], jobs=1)
+                payloads = run_jobs([suite_job], jobs=1, retries=0)
             else:
                 # Deep tracing: the job's solver spans, in a scope of
                 # their own under the job's context, go back with the
                 # report whatever this node's own capture is doing.
                 with capture(ctx) as scope:
-                    payloads = run_jobs([suite_job], jobs=1)
+                    payloads = run_jobs([suite_job], jobs=1, retries=0)
                 snapshot = scope.snapshot(
                     origin=f"fleet/{self.worker_id}/{lease['lease']}")
             payload = payloads[0]
         except ReproError as error:
-            self._complete_failure(lease, "crashed", str(error))
+            failures = getattr(error, "failures", ())
+            self._complete_failure(
+                lease, failures[-1].kind if failures else "crashed", str(error))
             return
         if fate == "corrupt":
             jsonable = fault_mod.corrupt_payload(payload_to_jsonable(payload))
         else:
             jsonable = payload_to_jsonable(payload)
-            # Publish into the shared content-addressed store so any
-            # node (coordinator included) answers repeat requests.
-            self.store.put(lease["key"], payload,
-                           meta={"request": lease.get("request")})
         body = {
             "worker": self.worker_id, "lease": lease["lease"],
             "ok": True, "payload": jsonable,
@@ -201,23 +201,28 @@ class FleetWorker:
     def _execute_batch(self, leases):
         """Run a multi-job lease through one ``run_jobs`` call.
 
-        This is the fleet's mega-batch seam: the runner's inline loop
+        This is the fleet's mega-batch seam: the runner's inline drain
         packs compatible jobs of one lease round into one batched
         kernel invocation (per-job payloads stay bitwise-identical —
-        the runner's contract).  Any failure falls back to the per-job
-        path, which also handles fault injection and deep tracing.
+        the runner's contract).  When the call fails, each failed job's
+        attempt is reported as is; the others, whose payloads the
+        failure discarded, run again through the per-job path.
         """
         try:
             suite_jobs = [job_from_wire(lease["job"]) for lease in leases]
-            payloads = run_jobs(suite_jobs, jobs=1)
-        except ReproError:
-            for lease in leases:
-                self._execute_lease(lease)
+            payloads = run_jobs(suite_jobs, jobs=1, retries=0)
+        except ReproError as error:
+            failed = {f.index: f for f in getattr(error, "failures", ())}
+            for index, lease in enumerate(leases):
+                if index in failed:
+                    self._job_index += 1
+                    self._complete_failure(lease, failed[index].kind,
+                                           failed[index].message)
+                else:
+                    self._execute_lease(lease)
             return
         self._job_index += len(leases)
         for lease, payload in zip(leases, payloads):
-            self.store.put(lease["key"], payload,
-                           meta={"request": lease.get("request")})
             self._post("/fleet/v1/complete", {
                 "worker": self.worker_id, "lease": lease["lease"],
                 "ok": True, "payload": payload_to_jsonable(payload),

@@ -6,23 +6,24 @@ are exercised on every CI run, not just when real hardware misbehaves.
 This module provides a small, fully deterministic fault plan that the
 runner consults before executing each job attempt:
 
-* ``crash``     — the worker raises :class:`InjectedFault` (a job-level
-  crash; the worker process survives);
-* ``kill``      — the worker process hard-exits (``os._exit``), breaking
-  the whole pool (exercises the ``BrokenProcessPool`` recovery path);
-* ``hang``      — the worker sleeps for :func:`hang_seconds` (default
-  3600 s, override with ``REPRO_FAULT_HANG_SECONDS``) so the parent's
-  per-job timeout fires;
+* ``crash``     — the attempt raises :class:`InjectedFault` (a job-level
+  crash; the pool slot's process survives);
+* ``kill``      — the pool slot's child process hard-exits
+  (``os._exit``); the runner charges only that slot's job and respawns
+  the slot (inline, ``kill`` degrades to ``crash``);
+* ``hang``      — the attempt sleeps for :func:`hang_seconds` (default
+  3600 s, override with ``REPRO_FAULT_HANG_SECONDS``) so the slot's
+  per-job timeout fires and the slot is killed;
 * ``corrupt``   — the job runs normally but its payload is mangled
   before being returned (exercises result validation);
-* ``interrupt`` — the worker raises ``KeyboardInterrupt`` (exercises
+* ``interrupt`` — the attempt raises ``KeyboardInterrupt`` (exercises
   the abort/cleanup path; never retried).
 
 A plan is a set of rules ``<kind>@<job index>[xN]``; the rule fires on
 the first ``N`` attempts of that job (default 1) and the job behaves
 normally afterwards, so a bounded retry always recovers.  Plans come
 from the ``REPRO_FAULT`` environment variable (comma-separated spec,
-read once per run by the parent and shipped to workers explicitly) or
+read once per run by the parent and shipped to pool slots explicitly) or
 from the :class:`FaultPlan` test API::
 
     REPRO_FAULT="crash@1,hang@3x2" repro-gpp table2 --jobs 2

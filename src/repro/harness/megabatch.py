@@ -3,16 +3,17 @@
 This is the harness-side half of cross-job kernel packing
 (:mod:`repro.core.megabatch` is the solver-side half): it decides which
 :class:`~repro.harness.runner.SuiteJob` items may share one packed
-solve (:func:`job_pack_key`), chunks them into groups of at most
-:data:`MAX_GROUP_SIZE` (:func:`find_groups`) and executes a group
-through the packer with payloads shaped exactly like
+solve (:func:`job_pack_key`; the lease queue,
+:mod:`repro.harness.leases`, groups by it at grant time, at most
+:data:`MAX_GROUP_SIZE` jobs a group) and executes a group through the
+packer with payloads shaped exactly like
 :func:`~repro.harness.runner.execute_job` (:func:`execute_group`).
 
 Packing is strictly an execution strategy: per-job payloads are
 bitwise-identical to solo solves, so checkpoints, caches and the
 service result store never see the difference.  The runner's inline
-attempt loop packs whenever it holds two or more compatible pending
-jobs and no fault plan is active; the pool path never packs.  Only
+drain packs whenever it holds two or more compatible pending jobs and
+no fault plan is active; the pool path never packs.  Only
 jobs that the packer can prove compatible are grouped —
 ``kind="partition"``, the gradient method, the batched engine, the
 same circuit/planes/refine/pinned and the same config up to
@@ -78,28 +79,6 @@ def job_pack_key(job):
         pinned_key,
         _config_key(config),
     )
-
-
-def find_groups(job_list, pending):
-    """Packable groups (lists of >= 2 job indices) among ``pending``.
-
-    Jobs keep their submission order within a group; groups larger than
-    :data:`MAX_GROUP_SIZE` are chunked.  Indices not covered by any
-    returned group (unpackable jobs, singleton keys) are simply not in
-    the output and run through the normal per-job path.
-    """
-    by_key = {}
-    for index in pending:
-        key = job_pack_key(job_list[index])
-        if key is not None:
-            by_key.setdefault(key, []).append(index)
-    groups = []
-    for indices in by_key.values():
-        for start in range(0, len(indices), MAX_GROUP_SIZE):
-            chunk = indices[start:start + MAX_GROUP_SIZE]
-            if len(chunk) >= 2:
-                groups.append(chunk)
-    return groups
 
 
 def execute_group(jobs):

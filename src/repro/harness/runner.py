@@ -1,17 +1,19 @@
-"""Process-parallel suite runner with fault tolerance.
+"""Suite runner: inline or slot-pool execution with fault tolerance.
 
 The table/benchmark drivers all share one shape of work: a list of
 independent ``(circuit, K, method, seed)`` solves whose outputs are
 deterministic functions of their inputs (every solve builds a fresh RNG
 from its seed; no state crosses items).  This module decomposes that
-shape into :class:`SuiteJob` descriptions and fans them out over a
-``ProcessPoolExecutor``:
+shape into :class:`SuiteJob` descriptions and runs them through a
+:class:`~repro.harness.leases.LeaseQueue`, the attempt state machine it
+shares with the fleet coordinator:
 
-* **bitwise determinism** — a worker executes *exactly* the code the
-  sequential loop runs (:func:`execute_job` is the single
+* **bitwise determinism** — every attempt executes *exactly* the code
+  the sequential loop runs (:func:`execute_job` is the single
   implementation; ``--jobs 1`` calls it inline, ``--jobs N`` calls it in
-  a pool), so reports and labels are bit-identical for any jobs count.
-  The CI determinism job and ``tests/test_runner.py`` enforce this.
+  pool slots), so reports and labels are bit-identical for any jobs
+  count.  The CI determinism job and ``tests/test_runner.py`` enforce
+  this.
 * **fault tolerance** — a production-scale suite is thousands of jobs;
   a single crashed, hung or corrupted worker must degrade the run, not
   destroy it.  Every job attempt is classified into a structured error
@@ -19,9 +21,11 @@ shape into :class:`SuiteJob` descriptions and fans them out over a
   ``invalid-result`` / ``cache-corrupt``), retried up to ``retries``
   times with exponential backoff, and recorded in the
   :class:`RunReport` plus the obs metrics registry
-  (``runner.failures.*``, ``runner.retries``).  A per-job ``timeout``
-  tears the pool down (terminating the hung worker) and resubmits the
-  survivors; only jobs that exhaust their retries raise
+  (``runner.failures.*``, ``runner.retries``).  The pool is ``N``
+  slots, each one persistent child process behind a pipe that leases
+  one task at a time; a slot that dies or passes its own per-job
+  ``timeout`` is killed and respawned alone, so only its own job is
+  charged.  Only jobs that exhaust their retries raise
   :class:`JobError`.  See docs/robustness.md.
 * **checkpoint/resume** — validated payloads stream to a JSONL
   checkpoint (:mod:`repro.harness.checkpoint`, content-keyed like the
@@ -33,22 +37,22 @@ shape into :class:`SuiteJob` descriptions and fans them out over a
   make chosen job attempts crash, hang, hard-exit or return corrupt
   payloads, so the recovery paths above are exercised by tests and the
   CI chaos job, not just by real failures.
-* **observability across processes** — when capture is on, each worker
-  records the job in its own :func:`repro.obs.capture` scope and ships
-  the scope's snapshot back with its payload; the parent folds the
-  snapshot of each job's *successful* attempt, in job-index order, into
-  the caller's active capture via :func:`repro.obs.merge_snapshot`
+* **observability across processes** — when capture is on, each slot
+  records an attempt in its own :func:`repro.obs.capture` scope and
+  ships the scope's snapshot back with its payload; the parent folds
+  the snapshot of each job's *successful* attempt, in job-index order,
+  into the caller's active capture via :func:`repro.obs.merge_snapshot`
   (exactly-once per origin, so retries or repeated merges never
   double-count).
-* **mega-batching** — the inline loop runs two or more pending jobs
+* **mega-batching** — inline, the queue grants two or more pending jobs
   that share a :func:`~repro.harness.megabatch.job_pack_key` as one
   packed solve (:mod:`repro.harness.megabatch`) when no fault plan is
   active; payloads are bitwise-identical to solo execution, and a
   group that fails falls back to the per-job attempts uncharged.  The
   pool path never packs.
-* **caching synergy** — workers build netlists through
-  :func:`repro.circuits.suite.build_circuit`, so they share the on-disk
-  artifact cache (:mod:`repro.cache`); a warm cache turns each worker's
+* **caching synergy** — jobs build netlists through
+  :func:`repro.circuits.suite.build_circuit`, so slots share the on-disk
+  artifact cache (:mod:`repro.cache`); a warm cache turns each slot's
   synthesis step into a cheap load.
 
 The jobs count resolves as: explicit argument > ``REPRO_JOBS``
@@ -58,20 +62,28 @@ resolve the same way: explicit argument > ``REPRO_RETRIES`` /
 no timeout, 0.05 s backoff base).
 """
 
+import multiprocessing
 import os
+import signal
 import time
 import uuid
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as connection_wait
 
 import numpy as np
 
 from repro import envcfg
 from repro.harness import faults as fault_mod
+from repro.harness import megabatch as megabatch_mod
 from repro.harness.checkpoint import SuiteCheckpoint, job_key
+from repro.harness.leases import (  # noqa: F401 - re-exported names
+    JOB_ERROR_KINDS,
+    JobFailure,
+    LeaseQueue,
+    LeaseTask,
+    retry_delay,
+    validate_payload,
+)
 from repro.obs import OBS, TraceContext, merge_snapshot
 from repro.obs import capture as obs_capture
 from repro.obs import events as obs_events
@@ -87,10 +99,6 @@ DEFAULT_RETRIES = 2
 #: Default exponential-backoff base delay in seconds: a job's n-th retry
 #: waits ``backoff * 2**(n-1)`` before resubmission (:func:`retry_delay`).
 DEFAULT_BACKOFF = 0.05
-
-#: The structured error taxonomy of job-attempt failures.
-JOB_ERROR_KINDS = ("crashed", "timed-out", "invalid-result", "cache-corrupt")
-
 
 def resolve_jobs(jobs=None, environ=None):
     """Resolve an effective worker count (always >= 1).
@@ -145,18 +153,6 @@ def resolve_backoff(backoff=None, environ=None):
         "REPRO_RETRY_BACKOFF", float, lambda v: v >= 0, "a number of seconds >= 0", environ
     )
     return DEFAULT_BACKOFF if value is None else value
-
-
-def retry_delay(failures, retries, backoff):
-    """Delay before retrying a job after its ``failures``-th failed
-    attempt, or ``None`` once that exhausts its ``retries``.
-
-    The one retry policy of the runner and the fleet coordinator:
-    exponential backoff, ``backoff * 2**(n-1)`` before the n-th retry.
-    """
-    if failures > retries:
-        return None
-    return backoff * 2.0 ** (failures - 1)
 
 
 @dataclass(frozen=True)
@@ -221,27 +217,6 @@ class SuiteJob:
                 raise ReproError(
                     f"job circuit {self.circuit!r} != inline netlist name {name!r}"
                 )
-
-
-@dataclass(frozen=True)
-class JobFailure:
-    """One failed attempt of one job, classified into the taxonomy.
-
-    ``index`` is the job's position in the submitted list (``-1`` for
-    failures not attributable to a job, e.g. corrupt checkpoint lines);
-    ``attempt`` is 1-based.
-    """
-
-    index: int
-    kind: str
-    attempt: int
-    message: str
-
-    def __post_init__(self):
-        if self.kind not in JOB_ERROR_KINDS:
-            raise ReproError(
-                f"unknown failure kind {self.kind!r}; expected one of {JOB_ERROR_KINDS}"
-            )
 
 
 class JobError(ReproError):
@@ -314,7 +289,7 @@ def execute_job(job):
     """Run one job in this process; returns a plain payload dict.
 
     This is the *only* implementation of a job — the sequential path and
-    the pool workers both call it, which is what makes ``--jobs N``
+    the pool slots both call it, which is what makes ``--jobs N``
     bitwise-identical to ``--jobs 1``.
     """
     # Deferred imports: keep worker startup light and avoid an import
@@ -393,40 +368,6 @@ def execute_job(job):
     }
 
 
-def validate_payload(job, payload):
-    """Why ``payload`` is structurally invalid for ``job``, or ``None``.
-
-    A worker returning garbage (bit-flip, fault injection, version
-    skew) must surface as an ``invalid-result`` failure — and be
-    retried — rather than crash the table assembly later.
-    """
-    if not isinstance(payload, dict):
-        return f"payload is {type(payload).__name__}, not a dict"
-    if payload.get("circuit") != job.circuit:
-        return f"payload circuit {payload.get('circuit')!r} != job circuit {job.circuit!r}"
-    report = payload.get("report")
-    if report is None:
-        return "payload has no report"
-    try:
-        labels = np.asarray(payload.get("labels"), dtype=np.intp)
-    except (TypeError, ValueError):
-        return "payload labels are not an integer array"
-    num_gates = getattr(report, "num_gates", None)
-    if labels.ndim != 1 or labels.shape[0] != num_gates:
-        return f"payload labels shape {labels.shape} does not match report gates {num_gates}"
-    if job.kind == "plan":
-        for name in ("k_lb", "k_res", "bias_lines_saved"):
-            if not isinstance(payload.get(name), (int, np.integer)):
-                return f"plan payload field {name!r} missing or not an integer"
-    if job.kind == "eco":
-        info = payload.get("eco")
-        if not isinstance(info, dict):
-            return "eco payload has no eco info dict"
-        if info.get("mode") not in ("warm", "cold"):
-            return f"eco payload mode {info.get('mode')!r} is not warm|cold"
-    return None
-
-
 def _classify_exception(exc):
     """Map a worker exception onto the error taxonomy."""
     if isinstance(exc, CacheCorruptError):
@@ -435,12 +376,12 @@ def _classify_exception(exc):
 
 
 def _worker_run(capture, plan, run_id, index, attempt, job, base_ctx=None):
-    """Pool entry point: execute one job attempt in its own obs scope.
+    """One pool-slot attempt: execute a job in its own obs scope.
 
-    A forked worker inherits the submitting thread's capture scope, so
+    A forked slot inherits the submitting thread's capture scope, so
     every attempt opens a fresh one (disabled unless ``capture``).
     ``base_ctx`` is the parent's trace-context wire dict (when it had
-    one), namespaced by ``job<index>/a<attempt>`` so concurrent workers
+    one), namespaced by ``job<index>/a<attempt>`` so concurrent slots
     (and retried attempts) derive disjoint span ids that all parent back
     to the carried span.
     """
@@ -464,141 +405,147 @@ def _worker_run(capture, plan, run_id, index, attempt, job, base_ctx=None):
     return payload, snap
 
 
-def _shutdown_pool(pool, kill=False):
-    """Shut a pool down without waiting; optionally terminate its workers.
+def _slot_main(conn):
+    """Entry point of a pool slot's child process.
 
-    ``cancel_futures=True`` drops everything still queued, so a
-    ``KeyboardInterrupt`` (or a timeout teardown) never leaves orphaned
-    work behind; ``kill=True`` additionally terminates the worker
-    processes — the only way to stop a hung worker.
+    Runs one attempt per received :func:`_worker_run` argument tuple and
+    answers ``("ok", payload, snapshot)``, ``("error", kind, message)``
+    or ``("interrupt", message)``, until it receives ``None``.  SIGINT
+    is ignored: the parent owns the slot and terminates it on Ctrl-C.
     """
-    if not kill:
-        pool.shutdown(wait=True, cancel_futures=True)
-        return
-    # ProcessPoolExecutor offers no public kill switch; terminating the
-    # private process table is the accepted escape hatch for abandoning
-    # hung workers.  Grab it before shutdown() — which nulls the
-    # attribute — and the short join reaps them so no zombies linger.
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
         try:
-            process.terminate()
-        except Exception:
-            pass
-    for process in processes:
+            args = conn.recv()
+        except EOFError:
+            return
+        if args is None:
+            return
         try:
-            process.join(timeout=5)
-        except Exception:
-            pass
+            reply = ("ok",) + _worker_run(*args)
+        except KeyboardInterrupt as exc:
+            reply = ("interrupt", str(exc))
+        except Exception as exc:
+            reply = ("error", _classify_exception(exc), str(exc))
+        conn.send(reply)
 
 
-class _RunState:
-    """Mutable bookkeeping of one :func:`run_jobs` call."""
+class _Slot:
+    """One pool slot: a persistent child process running one task at a time."""
 
-    def __init__(self, job_list, retries, backoff, report):
-        self.job_list = job_list
-        self.retries = retries
-        self.backoff = backoff
-        self.report = report
-        self.results = {}      # index -> validated payload
-        self.snaps = {}        # index -> obs snapshot of the successful attempt
-        self.attempts = {}     # index -> failed-attempt count so far
-        self.keys = None       # index -> job key (when checkpointing)
-        self.checkpoint = None
+    def __init__(self):
+        self.process = None
+        self.conn = None
+        self.task = None
+        self.deadline = None          # time.monotonic() limit of the attempt
 
-    def record_failure(self, index, kind, message):
-        """Charge one failed attempt; returns the backoff delay for a
-        retry, or ``None`` when the job just exhausted its retries."""
-        attempt = self.attempts.get(index, 0) + 1
-        self.attempts[index] = attempt
-        self.report.failures.append(
-            JobFailure(index=index, kind=kind, attempt=attempt, message=str(message))
-        )
+    def start(self, task, args, timeout):
+        if self.process is None:
+            self.conn, child = multiprocessing.Pipe()
+            self.process = multiprocessing.Process(
+                target=_slot_main, args=(child,), daemon=True)
+            self.process.start()
+            child.close()
+        try:
+            self.conn.send(args)
+        except OSError:
+            pass  # the child died idle; the wait sees it and charges the task
+        self.task = task
+        self.deadline = time.monotonic() + timeout if timeout else None
+
+    def finish(self):
+        """The ended attempt's ``(task, reply)``; a child that died
+        replies ``crashed`` and is reaped (:meth:`abandon`)."""
+        try:
+            return self.task, self.conn.recv()
+        except (EOFError, OSError):
+            process = self.process
+            task = self.abandon()
+            return task, ("error", "crashed",
+                          f"worker process died (exit code {process.exitcode})")
+
+    def abandon(self):
+        """Kill the child mid-attempt; returns its task.  The next
+        :meth:`start` respawns the slot (``runner.pool_rebuilds``)."""
+        task = self.task
+        self.stop(kill=True)
         if OBS.enabled:
-            OBS.metrics.counter(
-                "runner.failures." + kind.replace("-", "_")
-            ).inc()
-        delay = retry_delay(attempt, self.retries, self.backoff)
-        log = obs_events.default_events()
-        if log.enabled:
-            log.emit(
-                "runner.job_failed" if delay is None else "runner.attempt_failed",
-                circuit=self.job_list[index].circuit,
-                index=index, kind=kind, attempt=attempt,
-            )
-        if delay is None:
-            self.report.failed_jobs.append(index)
-            return None
-        self.report.retries += 1
-        if OBS.enabled:
-            OBS.metrics.counter("runner.retries").inc()
-        return delay
+            OBS.metrics.counter("runner.pool_rebuilds").inc()
+        return task
 
-    def accept(self, index, payload, snap=None):
-        """Record a validated payload (and checkpoint it)."""
-        self.results[index] = payload
-        if snap is not None:
-            self.snaps[index] = snap
-        self.report.executed += 1
-        log = obs_events.default_events()
-        if log.enabled:
-            log.emit(
-                "runner.job_completed",
-                circuit=self.job_list[index].circuit,
-                index=index, attempt=self.attempts.get(index, 0) + 1,
-            )
-        if self.checkpoint is not None:
-            self.checkpoint.append(self.keys[index], payload)
-            if OBS.enabled:
-                OBS.metrics.counter("runner.checkpoint.appended").inc()
-
-    def next_attempt(self, index):
-        return self.attempts.get(index, 0) + 1
+    def stop(self, kill=False):
+        """End the child (``kill``: terminate it mid-attempt)."""
+        self.task = None
+        if self.process is None:
+            return
+        if kill:
+            self.process.terminate()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+        self.process.join(5)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+        self.conn.close()
+        self.process = self.conn = None
 
 
-def _run_packed(state, group):
-    """Run one packed group; True when every payload was accepted.
+def _drain_pool(queue, width, timeout, attempt_args, settle):
+    """Drain ``queue`` through ``width`` slots; one task per slot at a time.
 
-    Strictly best-effort: a group whose packed solve raises or whose
-    payloads fail validation is abandoned wholesale and charges no
-    attempt, because the failure belongs to the packing optimization,
-    not to any job.  Accepted payloads flow through
-    :meth:`_RunState.accept`, so they checkpoint and count exactly like
-    per-job results.
+    A slot whose attempt passes ``timeout`` seconds, or whose child
+    dies, is killed and respawned alone and charges only its own task
+    (``timed-out`` / ``crashed``).  Every slot is stopped on the way
+    out, interrupts included.
     """
-    from repro.harness.megabatch import execute_group
+    slots = [_Slot() for _ in range(width)]
+    try:
+        while True:
+            now = time.time()
+            for slot in slots:
+                if slot.task is None:
+                    granted = queue.grant(now)
+                    if not granted:
+                        break
+                    slot.start(granted[0], attempt_args(granted[0]), timeout)
+            busy = [slot for slot in slots if slot.task is not None]
+            gate = queue.next_gate()
+            if not busy:
+                if gate is None:
+                    return
+                time.sleep(max(0.0, gate - time.time()))
+                continue
+            waits = [slot.deadline - time.monotonic()
+                     for slot in busy if slot.deadline is not None]
+            if gate is not None and len(busy) < width:
+                waits.append(gate - time.time())
+            ready = set(connection_wait(
+                [slot.conn for slot in busy] + [slot.process.sentinel for slot in busy],
+                timeout=max(0.0, min(waits)) if waits else None,
+            ))
+            for slot in busy:
+                if slot.conn in ready or slot.process.sentinel in ready:
+                    task, reply = slot.finish()
+                    slot.task = None
+                    if reply[0] == "ok":
+                        settle(task, reply[1], reply[2])
+                    elif reply[0] == "interrupt":
+                        raise KeyboardInterrupt(reply[1])
+                    else:
+                        settle(task, failure=reply[1:])
+                elif slot.deadline is not None and slot.deadline <= time.monotonic():
+                    settle(slot.abandon(),
+                           failure=("timed-out", f"no result within {timeout} s"))
+    finally:
+        for slot in slots:
+            slot.stop(kill=slot.task is not None)
 
-    jobs = [state.job_list[index] for index in group]
-    with OBS.trace.span("runner.megabatch", jobs=len(group)):
-        try:
-            payloads = execute_group(jobs)
-        except Exception:
-            payloads = None
-    if payloads is None or any(
-        validate_payload(job, payload) is not None
-        for job, payload in zip(jobs, payloads)
-    ):
-        if OBS.enabled:
-            OBS.metrics.counter("runner.megabatch.fallbacks").inc()
-        return False
-    for index, payload in zip(group, payloads):
-        state.accept(index, payload)
-    if OBS.enabled:
-        OBS.metrics.counter("runner.megabatch.groups").inc()
-        OBS.metrics.counter("runner.megabatch.packed_jobs").inc(len(group))
-    return True
 
-
-def _run_inline(state, pending, plan):
-    """Sequential execution with the same retry/validation semantics.
-
-    Without a fault plan (chaos semantics are defined per job attempt),
-    a pending job first packs with the pending jobs that share its
-    :func:`~repro.harness.megabatch.job_pack_key`, in submission order
-    and at most :data:`~repro.harness.megabatch.MAX_GROUP_SIZE` at a
-    time (:func:`_run_packed`); a lone pending job computes no key.
-    Jobs of a failed group go through the per-job attempts below.
+def _attempt_inline(task, plan):
+    """Run one attempt in this process; ``(payload, failure)``.
 
     Timeouts are not enforced inline (there is no second process to
     watch the clock); an injected ``hang`` is recorded as a
@@ -606,187 +553,94 @@ def _run_inline(state, pending, plan):
     fast, and ``kill`` degrades to ``crash`` (hard-exiting the caller's
     process would be worse than the fault being simulated).
     """
-    groups = {}
-    if plan is None and len(pending) > 1:
-        from repro.harness.megabatch import find_groups
-
-        groups = {group[0]: group for group in find_groups(state.job_list, pending)}
-    for index in pending:
-        if index in state.results:
-            continue  # accepted with its packed group
-        if index in groups and _run_packed(state, groups[index]):
-            continue
-        job = state.job_list[index]
-        while True:
-            attempt = state.next_attempt(index)
-            kind = plan.fault_for(index, attempt) if plan is not None else None
-            delay = None
-            if kind in ("hang",):
-                delay = state.record_failure(index, "timed-out", "injected hang (inline)")
-            else:
-                try:
-                    if kind in ("crash", "kill"):
-                        raise fault_mod.InjectedFault(f"injected {kind} (inline)")
-                    if kind == "interrupt":
-                        raise KeyboardInterrupt("injected interrupt")
-                    payload = execute_job(job)
-                    if kind == "corrupt":
-                        payload = fault_mod.corrupt_payload(payload)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    delay = state.record_failure(index, _classify_exception(exc), exc)
-                else:
-                    reason = validate_payload(job, payload)
-                    if reason is None:
-                        state.accept(index, payload)
-                        break
-                    delay = state.record_failure(index, "invalid-result", reason)
-            if delay is None:
-                break  # retries exhausted; finalization raises
-            if delay > 0:
-                time.sleep(delay)
-
-
-def _run_pool(state, pending, max_workers, capture, timeout, plan, base_ctx=None):
-    """The fault-tolerant pool loop.
-
-    Invariants: with a per-job ``timeout``, at most ``max_workers``
-    futures are in flight, so a submitted job starts immediately and
-    its deadline is honest (without one, every due job is queued on the
-    executor up front and workers pull work with no per-job round-trip
-    through this loop); a failure charges exactly one attempt to
-    exactly one job, except for a broken pool, which charges every
-    in-flight job (the culprit is indistinguishable); innocent jobs
-    displaced by a teardown are resubmitted without being charged.
-    """
-    run_id = uuid.uuid4().hex
-    ready = deque((index, 0.0) for index in pending)  # (index, not-before)
-    in_flight = {}  # future -> (index, deadline or None)
-    pool = None
-
-    def ensure_pool():
-        nonlocal pool
-        if pool is None:
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-        return pool
-
-    def kill_pool():
-        nonlocal pool
-        if pool is not None:
-            _shutdown_pool(pool, kill=True)
-            pool = None
-            if OBS.enabled:
-                OBS.metrics.counter("runner.pool_rebuilds").inc()
-
-    def schedule(index, delay):
-        if delay is not None:
-            ready.append((index, time.monotonic() + delay))
-
+    kind = plan.fault_for(task.index, task.attempts) if plan is not None else None
+    if kind == "hang":
+        return None, ("timed-out", "injected hang (inline)")
     try:
-        while ready or in_flight:
-            now = time.monotonic()
-            # Submit every due job; the in-flight cap only exists to
-            # keep deadlines honest, so it only applies with a timeout.
-            deferred = deque()
-            while ready and (not timeout or len(in_flight) < max_workers):
-                index, not_before = ready.popleft()
-                if not_before > now:
-                    deferred.append((index, not_before))
-                    continue
-                job = state.job_list[index]
-                attempt = state.next_attempt(index)
-                future = ensure_pool().submit(
-                    _worker_run, capture, plan, run_id, index, attempt, job,
-                    base_ctx,
-                )
-                in_flight[future] = (index, now + timeout if timeout else None)
-            ready.extendleft(reversed(deferred))
+        if kind in ("crash", "kill"):
+            raise fault_mod.InjectedFault(f"injected {kind} (inline)")
+        if kind == "interrupt":
+            raise KeyboardInterrupt("injected interrupt")
+        payload = execute_job(task.job)
+    except KeyboardInterrupt:
+        raise
+    except Exception as exc:
+        return None, (_classify_exception(exc), str(exc))
+    if kind == "corrupt":
+        payload = fault_mod.corrupt_payload(payload)
+    return payload, None
 
-            if not in_flight:
-                # Everything is waiting out a backoff delay.
-                wake = min(not_before for _, not_before in ready)
-                time.sleep(max(0.0, wake - time.monotonic()))
-                continue
 
-            wait_for = None
-            deadlines = [dl for _, dl in in_flight.values() if dl is not None]
-            if deadlines:
-                wait_for = max(0.0, min(deadlines) - time.monotonic())
-            if ready:
-                wake = max(0.0, min(nb for _, nb in ready) - time.monotonic())
-                wait_for = wake if wait_for is None else min(wait_for, wake)
-            done, _ = futures_wait(
-                set(in_flight), timeout=wait_for, return_when=FIRST_COMPLETED
-            )
+def _run_group(queue, tasks):
+    """Run one packed group; True when the queue accepted every payload.
 
-            pool_broken = False
-            for future in done:
-                index, _deadline = in_flight.pop(future)
-                job = state.job_list[index]
-                try:
-                    payload, snap = future.result()
-                except KeyboardInterrupt:
-                    raise
-                except BrokenProcessPool as exc:
-                    pool_broken = True
-                    schedule(index, state.record_failure(index, "crashed", exc))
-                except Exception as exc:
-                    schedule(index, state.record_failure(index, _classify_exception(exc), exc))
-                else:
-                    reason = validate_payload(job, payload)
-                    if reason is None:
-                        state.accept(index, payload, snap)
-                    else:
-                        schedule(index, state.record_failure(index, "invalid-result", reason))
+    Strictly best-effort: a group whose packed solve raises or returns
+    an invalid payload is released by the queue uncharged, because the
+    failure belongs to the packing optimization, not to any job.
+    """
+    with OBS.trace.span("runner.megabatch", jobs=len(tasks)):
+        try:
+            payloads = megabatch_mod.execute_group([task.job for task in tasks])
+        except Exception:
+            payloads = None
+    accepted = queue.complete_group(tasks, payloads)
+    if OBS.enabled:
+        if accepted:
+            OBS.metrics.counter("runner.megabatch.groups").inc()
+            OBS.metrics.counter("runner.megabatch.packed_jobs").inc(len(tasks))
+        else:
+            OBS.metrics.counter("runner.megabatch.fallbacks").inc()
+    return accepted
 
-            if pool_broken:
-                # The surviving in-flight futures are doomed with the
-                # pool; resubmit them without charging an attempt.
-                for future, (index, _deadline) in in_flight.items():
-                    ready.append((index, 0.0))
-                in_flight.clear()
-                kill_pool()
-                continue
 
-            if timeout:
-                now = time.monotonic()
-                expired = [
-                    (future, index)
-                    for future, (index, deadline) in in_flight.items()
-                    if deadline is not None and deadline <= now
-                ]
-                if expired:
-                    expired_futures = {future for future, _ in expired}
-                    for future, index in expired:
-                        schedule(
-                            index,
-                            state.record_failure(
-                                index, "timed-out", f"no result within {timeout} s"
-                            ),
-                        )
-                    # Innocent bystanders ride along in the teardown.
-                    for future, (index, _deadline) in in_flight.items():
-                        if future not in expired_futures:
-                            ready.append((index, 0.0))
-                    in_flight.clear()
-                    kill_pool()
-    finally:
-        if pool is not None:
-            _shutdown_pool(pool, kill=bool(in_flight))
+def _drain_inline(queue, plan, settle, accept):
+    """Drain ``queue`` in the calling thread, waiting out backoff gates."""
+    while queue.pending:
+        granted = queue.grant(time.time())
+        if not granted:
+            time.sleep(max(0.0, queue.next_gate() - time.time()))
+        elif len(granted) > 1:
+            if _run_group(queue, granted):
+                for task in granted:
+                    accept(task)
+        else:
+            payload, failure = _attempt_inline(granted[0], plan)
+            settle(granted[0], payload, failure=failure)
+
+
+def _charge(report, task, failure):
+    """Record one failed attempt in the report, counters and event log."""
+    report.failures.append(failure)
+    if OBS.enabled:
+        OBS.metrics.counter("runner.failures." + failure.kind.replace("-", "_")).inc()
+    exhausted = task.state == "failed"
+    log = obs_events.default_events()
+    if log.enabled:
+        log.emit(
+            "runner.job_failed" if exhausted else "runner.attempt_failed",
+            circuit=task.job.circuit,
+            index=task.index, kind=failure.kind, attempt=failure.attempt,
+        )
+    if exhausted:
+        report.failed_jobs.append(task.index)
+        return
+    report.retries += 1
+    if OBS.enabled:
+        OBS.metrics.counter("runner.retries").inc()
 
 
 def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
              checkpoint=None, resume=False, fault_plan=None, return_report=False,
              force_pool=False):
-    """Execute jobs (inline or in a process pool); payloads in job order.
+    """Execute jobs (inline or in pool slots); payloads in job order.
 
-    With an effective worker count of 1 — or a single job — everything
-    runs inline in this process, packing compatible jobs into shared
-    solves (see :func:`_run_inline`), and observability flows straight
-    into the active capture.  Otherwise a ``ProcessPoolExecutor`` runs
-    :func:`execute_job` per job and worker obs snapshots are merged into
-    the caller's active capture in job-index order.
+    The pending jobs go into one :class:`~repro.harness.leases.LeaseQueue`.
+    With an effective worker count of 1 — or a single job — the calling
+    thread drains it, packing compatible jobs into shared solves, and
+    observability flows straight into the active capture.  Otherwise
+    ``N`` slots (persistent child processes) each lease one task at a
+    time and run :func:`execute_job`; their obs snapshots are merged
+    into the caller's active capture in job-index order.
 
     Parameters
     ----------
@@ -796,9 +650,8 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
     timeout:
         Per-job-attempt wall-clock limit in seconds (pool mode only;
         default ``REPRO_JOB_TIMEOUT`` env, else unlimited).  A timed-out
-        attempt terminates the worker pool — the only way to stop a hung
-        worker — and resubmits the unaffected in-flight jobs without
-        charging them an attempt.
+        attempt kills its slot's child — the only way to stop a hung
+        worker — and the slot respawns; no other job is affected.
     retries:
         Failed attempts are retried up to this many times per job with
         exponential backoff (``backoff * 2**(n-1)`` before the n-th
@@ -817,7 +670,7 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
         payload list.  The report of the latest run is also available
         via :func:`last_report`.
     force_pool:
-        Run through the process pool even for a single job / single
+        Run through the slot pool even for a single job / single
         worker.  The pool path is what provides crash isolation and
         enforceable per-job deadlines (a hung inline job cannot be
         interrupted), so the partitioning service uses this for its
@@ -841,61 +694,90 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
 
     report = RunReport(total=len(job_list), checkpoint_path=checkpoint)
     _LAST_REPORT = report
-    state = _RunState(job_list, retries, backoff, report)
+    tasks = [LeaseTask(job, index) for index, job in enumerate(job_list)]
+    queue = LeaseQueue(retries, backoff)
 
-    if checkpoint:
-        state.checkpoint = SuiteCheckpoint(checkpoint)
-        state.keys = [job_key(job) for job in job_list]
-        if resume:
-            stored = state.checkpoint.load()
-            report.checkpoint_corrupt_lines = state.checkpoint.corrupt_lines
-            if state.checkpoint.corrupt_lines:
-                for _ in range(state.checkpoint.corrupt_lines):
-                    report.failures.append(JobFailure(
-                        index=-1, kind="cache-corrupt", attempt=1,
-                        message="corrupt checkpoint line skipped",
-                    ))
-                if OBS.enabled:
-                    OBS.metrics.counter("runner.failures.cache_corrupt").inc(
-                        state.checkpoint.corrupt_lines
-                    )
-            for index, key in enumerate(state.keys):
-                if key in stored:
-                    payload = stored[key]
-                    if validate_payload(job_list[index], payload) is None:
-                        state.results[index] = payload
-                        report.from_checkpoint += 1
-            if OBS.enabled and report.from_checkpoint:
-                OBS.metrics.counter("runner.checkpoint.loaded").inc(report.from_checkpoint)
+    journal = SuiteCheckpoint(checkpoint) if checkpoint else None
+    if journal is not None and resume:
+        stored = journal.load()
+        report.checkpoint_corrupt_lines = journal.corrupt_lines
+        if journal.corrupt_lines:
+            for _ in range(journal.corrupt_lines):
+                report.failures.append(JobFailure(
+                    index=-1, kind="cache-corrupt", attempt=1,
+                    message="corrupt checkpoint line skipped",
+                ))
+            if OBS.enabled:
+                OBS.metrics.counter("runner.failures.cache_corrupt").inc(
+                    journal.corrupt_lines
+                )
+        for task in tasks:
+            key = job_key(task.job)
+            if key in stored and queue.complete(task, stored[key]) is None:
+                report.from_checkpoint += 1
+        if OBS.enabled and report.from_checkpoint:
+            OBS.metrics.counter("runner.checkpoint.loaded").inc(report.from_checkpoint)
 
-    pending = [index for index in range(len(job_list)) if index not in state.results]
+    for task in tasks:
+        if task.state != "done":
+            queue.submit(task)
+    pending = len(queue.pending)
+    use_pool = force_pool or (jobs > 1 and pending > 1)
+    queue.pack = not use_pool and fault_plan is None
 
     if OBS.enabled:
         OBS.metrics.counter("runner.jobs_submitted").inc(len(job_list))
-        OBS.metrics.gauge("runner.workers").set(min(jobs, max(len(pending), 1)))
+        OBS.metrics.gauge("runner.workers").set(min(jobs, max(pending, 1)))
 
-    if pending:
-        use_pool = force_pool or (jobs > 1 and len(pending) > 1)
-        if not use_pool:
-            _run_inline(state, pending, fault_plan)
-        else:
-            capture = OBS.enabled
-            # The caller's live trace context (when capture is on) rides
-            # into every worker, so a CLI `--trace --jobs N` run or a
-            # deep-traced service job still yields one connected span
-            # tree.
-            base_ctx = None
-            if capture and OBS.trace.context is not None:
-                base_ctx = OBS.trace.context.to_wire()
-            max_workers = max(1, min(jobs, len(pending)))
-            with OBS.trace.span("runner.pool", jobs=max_workers, items=len(pending)):
-                _run_pool(state, pending, max_workers, capture, timeout,
-                          fault_plan, base_ctx)
+    def accept(task):
+        report.executed += 1
+        log = obs_events.default_events()
+        if log.enabled:
+            log.emit(
+                "runner.job_completed",
+                circuit=task.job.circuit, index=task.index, attempt=task.attempts,
+            )
+        if journal is not None:
+            journal.append(job_key(task.job), task.payload)
+            if OBS.enabled:
+                OBS.metrics.counter("runner.checkpoint.appended").inc()
+
+    def settle(task, payload=None, snapshot=None, failure=None):
+        """Hand one attempt's outcome to the queue and book it."""
+        if failure is None:
+            problem = queue.complete(task, payload)
+            if problem is None:
+                task.snapshot = snapshot
+                accept(task)
+                return
+            failure = ("invalid-result", problem)
+        _charge(report, task, queue.fail(task, *failure))
+
+    if pending and not use_pool:
+        _drain_inline(queue, fault_plan, settle, accept)
+    elif pending:
+        capture = OBS.enabled
+        # The caller's live trace context (when capture is on) rides
+        # into every slot, so a CLI `--trace --jobs N` run or a
+        # deep-traced service job still yields one connected span tree.
+        base_ctx = None
+        if capture and OBS.trace.context is not None:
+            base_ctx = OBS.trace.context.to_wire()
+        run_id = uuid.uuid4().hex
+
+        def attempt_args(task):
+            return (capture, fault_plan, run_id, task.index, task.attempts,
+                    task.job, base_ctx)
+
+        width = max(1, min(jobs, pending))
+        with OBS.trace.span("runner.pool", jobs=width, items=pending):
+            _drain_pool(queue, width, timeout, attempt_args, settle)
 
     # Snapshots merge after the run, in job-index order, so parallel
     # completion order never changes the aggregated metrics.
-    for index in sorted(state.snaps):
-        merge_snapshot(state.snaps[index])
+    for task in tasks:
+        if task.snapshot is not None:
+            merge_snapshot(task.snapshot)
 
     if report.failed_jobs:
         details = []
@@ -914,5 +796,5 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
             failures=report.failures,
         )
 
-    payloads = [state.results[index] for index in range(len(job_list))]
+    payloads = [task.payload for task in tasks]
     return (payloads, report) if return_report else payloads

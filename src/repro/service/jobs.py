@@ -14,13 +14,15 @@
   immediately-``done`` job without touching the queue;
 * worker threads executing each job through the fault-tolerant
   :func:`repro.harness.runner.run_jobs` path (retries + failure
-  taxonomy; ``isolation="process"`` additionally forces the process
-  pool for crash isolation and enforceable deadlines);
-* queue draining — with ``REPRO_MEGABATCH`` on (inline isolation, no
-  deep tracing, no fault plan) a worker takes the queued jobs that share
-  the head job's :func:`~repro.harness.megabatch.job_pack_key` as one
-  batch, which the runner solves packed; solo, sweep and drained jobs
-  share one lifecycle (:meth:`JobManager._execute`);
+  taxonomy; ``isolation="process"`` additionally forces the slot pool
+  for crash isolation and enforceable deadlines);
+* queue draining — under inline isolation, without deep tracing and
+  without a fault plan, a worker that finds no other worker idle takes
+  the queued jobs that share the head job's
+  :func:`~repro.harness.megabatch.job_pack_key` as one batch, which the
+  runner solves packed; solo, sweep and drained jobs share one
+  lifecycle (:meth:`JobManager._execute`).  A job alone in the queue
+  computes no pack key;
 * best-effort cancellation: a queued job is dropped before it runs, a
   running job finishes (inline solves cannot be interrupted).
 
@@ -58,7 +60,6 @@ import time
 import uuid
 from collections import deque
 
-from repro import envcfg
 from repro.harness import faults as fault_mod
 from repro.harness.checkpoint import payload_to_jsonable
 from repro.harness.megabatch import MAX_GROUP_SIZE, job_pack_key
@@ -136,8 +137,8 @@ class JobManager:
 
     def __init__(self, workers=1, queue_size=64, timeout=None, retries=None,
                  backoff=None, isolation="inline", store=None, retry_after=1,
-                 fault_plan=None, metrics=None, megabatch=None,
-                 events=None, tracing=False, trace_sink=None, fleet=None):
+                 fault_plan=None, metrics=None, events=None, tracing=False,
+                 trace_sink=None, fleet=None):
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
         if queue_size < 1:
@@ -165,16 +166,13 @@ class JobManager:
         self.events = events          # EventLog (or None: no event emission)
         self.tracing = bool(tracing)  # deep per-request solver tracing
         self.trace_sink = trace_sink  # callable(snapshot) per traced job
-        # Draining the queue into one packed solve (explicit >
-        # REPRO_MEGABATCH > off) trades the head job's latency for
-        # group throughput.  It is inline-only: the packed solve runs in
-        # the worker thread, which would silently bypass the crash
-        # isolation and enforceable deadlines process isolation buys.
-        # Deep tracing also disables it — a packed group has no single
-        # originating request to parent its spans under.
-        if megabatch is None:
-            megabatch = envcfg.flag_enabled("REPRO_MEGABATCH")
-        self.megabatch = bool(megabatch) and isolation == "inline" and not self.tracing
+        # Whether a worker drains compatible queued jobs into one packed
+        # solve.  Inline only: the packed solve runs in the worker
+        # thread, which would silently bypass the crash isolation and
+        # enforceable deadlines process isolation buys.  Deep tracing
+        # also rules it out — a packed group has no single originating
+        # request to parent its spans under.
+        self.megabatch = isolation == "inline" and not self.tracing
 
         self._cond = threading.Condition()
         self._queue = deque()           # Jobs admitted but not yet running
@@ -184,6 +182,7 @@ class JobManager:
         self._running = False
         self._draining = False
         self._threads = []
+        self._busy = 0                  # worker threads executing a batch
 
     # -- metrics / events ----------------------------------------------
     def _inc(self, name, amount=1):
@@ -435,12 +434,15 @@ class JobManager:
     def _next_batch(self):
         """Pop the next job plus any queued jobs the runner can pack with it.
 
-        Without draining — mega-batching off, or a fault plan active
-        (chaos semantics are per job) — this is a one-job batch.  With
-        it, the queue is drained of jobs whose
-        :func:`~repro.harness.megabatch.job_pack_key` matches the head
-        job's (at most ``MAX_GROUP_SIZE`` in all); non-matching jobs
-        keep their relative order at the front of the queue.
+        Without draining — process/fleet isolation, deep tracing, or a
+        fault plan active (chaos semantics are per job) — this is a
+        one-job batch.  So it is with the head job alone in the queue,
+        or while another worker is idle: that worker takes the next job,
+        and the two solve in parallel.  Otherwise the queue is drained
+        of jobs whose :func:`~repro.harness.megabatch.job_pack_key`
+        matches the head job's (at most ``MAX_GROUP_SIZE`` in all);
+        non-matching jobs keep their relative order at the front of the
+        queue.
         """
         drain = self.megabatch and self._fault_plan() is None
         with self._cond:
@@ -448,7 +450,9 @@ class JobManager:
                 self._cond.wait(timeout=0.2)
             if not self._running:
                 return None
+            self._busy += 1
             batch = [self._queue.popleft()]
+            drain = drain and self._queue and self._busy >= self.workers
             key = _pack_key(batch[0].request) if drain else None
             if key is not None:
                 keep = deque()
@@ -470,7 +474,11 @@ class JobManager:
             batch = self._next_batch()
             if batch is None:
                 return
-            self._execute(batch)
+            try:
+                self._execute(batch)
+            finally:
+                with self._cond:
+                    self._busy -= 1
 
     def _trace_ctx(self, job):
         """The job's span context under deep tracing, else ``None``."""

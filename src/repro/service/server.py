@@ -205,8 +205,8 @@ class PartitionService:
 
     def __init__(self, workers=None, queue_size=None, timeout=None,
                  retries=None, backoff=None, isolation=None, store=None,
-                 retry_after=None, fault_plan=None, megabatch=None,
-                 events=None, tracing=False, lease_ttl=None, heartbeat=None):
+                 retry_after=None, fault_plan=None, events=None,
+                 tracing=False, lease_ttl=None, heartbeat=None):
         self.metrics = MetricsRegistry()
         self.tracer = Tracer()
         self.tracer.enabled = True
@@ -238,7 +238,6 @@ class PartitionService:
             retry_after=resolve_retry_after(retry_after),
             fault_plan=fault_plan,
             metrics=self.metrics,
-            megabatch=megabatch,
             events=self.events if self.events.enabled else None,
             tracing=tracing,
             trace_sink=self.absorb,

@@ -3,8 +3,9 @@
 The one property that makes packing legal is bitwise invisibility:
 every payload a packed execution produces must equal the solo payload
 for the same job.  These tests pin that from the core packer
-(:mod:`repro.core.megabatch`) through the runner's inline loop
-(``run_jobs(..., jobs=1)``) to the service drain loop
+(:mod:`repro.core.megabatch`) through the lease queue's grant-time
+grouping and the runner's inline drain (``run_jobs(..., jobs=1)``) to
+the service drain loop
 (:class:`~repro.service.jobs.JobManager`), including ragged restart
 counts, single-job groups and pinned constraints.
 """
@@ -18,7 +19,8 @@ from repro.core.partitioner import partition
 import repro.harness.megabatch as megabatch_mod
 from repro.harness.checkpoint import payload_to_jsonable
 from repro.harness.faults import FaultPlan
-from repro.harness.megabatch import find_groups, job_pack_key
+from repro.harness.leases import LeaseQueue, LeaseTask
+from repro.harness.megabatch import job_pack_key
 from repro.harness.runner import SuiteJob, execute_job, run_jobs
 from repro.utils.errors import PartitionError
 
@@ -141,7 +143,7 @@ def test_packed_rejects_wrong_engine_and_k(mixed_netlist):
 
 
 # ----------------------------------------------------------------------
-# Grouping: job_pack_key / find_groups
+# Grouping: job_pack_key / LeaseQueue grants
 # ----------------------------------------------------------------------
 def _job(circuit="KSA4", planes=3, seed=0, **kwargs):
     kwargs.setdefault("config", FAST)
@@ -172,28 +174,57 @@ def test_job_pack_key_separates_distinct_problems():
     assert job_pack_key(_job(config=FAST.with_(max_iterations=77))) != base
 
 
-def test_find_groups_chunks_and_drops_singletons(monkeypatch):
+def _grants(jobs, pending=None, gated=(), now=1.0):
+    """Job indices of successive grants of a packing queue."""
+    queue = LeaseQueue(retries=0, backoff=0.0, pack=True)
+    for index in range(len(jobs)) if pending is None else pending:
+        task = queue.submit(LeaseTask(jobs[index], index))
+        if index in gated:
+            task.not_before = now + 60.0
+    grants = []
+    while True:
+        granted = queue.grant(now)
+        if not granted:
+            return grants
+        grants.append([task.index for task in granted])
+
+
+def test_lease_queue_grant_chunks_and_drops_singletons(monkeypatch):
     monkeypatch.setattr(megabatch_mod, "MAX_GROUP_SIZE", 3)
     jobs = [_job(seed=i) for i in range(5)]            # one key, 5 jobs
     jobs.append(_job(circuit="KSA8", seed=0))          # singleton key
     jobs.append(SuiteJob(kind="plan", circuit="KSA4"))  # unpackable
-    groups = find_groups(jobs, list(range(len(jobs))))
-    assert groups == [[0, 1, 2], [3, 4]]
-    # A chunk remainder of one job is not worth a packed solve.
-    groups = find_groups(jobs, [0, 1, 2, 3])
-    assert groups == [[0, 1, 2]]
+    assert _grants(jobs) == [[0, 1, 2], [3, 4], [5], [6]]
+    # A chunk remainder of one job is granted alone.
+    assert _grants(jobs, pending=[0, 1, 2, 3]) == [[0, 1, 2], [3]]
+
+
+def test_lease_queue_grants_an_incompatible_head_alone():
+    jobs = [SuiteJob(kind="plan", circuit="KSA4"), _job(seed=0),
+            _job(circuit="KSA8"), _job(seed=1)]
+    assert _grants(jobs) == [[0], [1, 3], [2]]
+
+
+def test_lease_queue_does_not_pack_backoff_gated_tasks():
+    jobs = [_job(seed=i) for i in range(4)]
+    assert _grants(jobs, gated={0, 2}) == [[1, 3]]
+
+
+def test_lease_queue_grants_keep_submission_order():
+    jobs = [_job(seed=i) for i in range(4)] + [_job(planes=2, seed=i) for i in range(2)]
+    assert _grants(jobs, pending=[4, 2, 0, 5, 3]) == [[4, 5], [2, 0, 3]]
 
 
 def test_megabatch_env_resolution(monkeypatch):
-    """Only the service drain reads REPRO_MEGABATCH: explicit > env > off."""
+    """Draining is not a knob: REPRO_MEGABATCH no longer exists, and an
+    inline manager without deep tracing always drains."""
+    from repro import envcfg
     from repro.service.jobs import JobManager
 
-    monkeypatch.delenv("REPRO_MEGABATCH", raising=False)
-    assert JobManager(megabatch=True).megabatch is True
-    assert JobManager().megabatch is False
-    monkeypatch.setenv("REPRO_MEGABATCH", "1")
+    assert "REPRO_MEGABATCH" not in {var.name for var in envcfg.ENV_VARS}
+    monkeypatch.setenv("REPRO_MEGABATCH", "0")
     assert JobManager().megabatch is True
-    assert JobManager(megabatch=False).megabatch is False
+    assert JobManager(tracing=True).megabatch is False
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +266,7 @@ def test_run_jobs_does_not_pack_under_a_fault_plan(packed_groups):
 
 def test_run_jobs_pool_path_does_not_pack(monkeypatch):
     monkeypatch.setattr(
-        megabatch_mod, "find_groups",
+        megabatch_mod, "execute_group",
         lambda *a, **k: pytest.fail("the pool path packed"),
     )
     jobs = [_job(seed=0), _job(seed=1)]
@@ -274,53 +305,47 @@ def test_failed_group_falls_back_to_uncharged_per_job_attempts(monkeypatch):
 def test_job_manager_megabatch_drains_compatible_queue(tmp_path):
     from repro.obs import MetricsRegistry
     from repro.obs.events import EventLog
-    from repro.service.api import request_key, validate_request
+    from repro.service.api import request_key, request_to_job, validate_request
     from repro.service.jobs import JobManager
     from repro.service.store import ResultStore
 
-    def submit_all(megabatch):
-        metrics = MetricsRegistry()
-        events = EventLog()
-        mgr = JobManager(
-            workers=1, queue_size=16, retries=0, backoff=0.0,
-            metrics=metrics, megabatch=megabatch, events=events,
-            store=ResultStore(root=str(tmp_path / str(megabatch)), enabled=True),
-        )
-        jobs = []
-        for seed in range(4):
-            normalized = validate_request(
-                {"circuit": "KSA4", "num_planes": 3, "seed": seed}
-            )
-            job, _ = mgr.submit(request_key(normalized), normalized)
-            jobs.append(job)
-        # Mixed-in incompatible job must survive the drain untouched.
-        normalized = validate_request(
-            {"circuit": "KSA4", "num_planes": 2, "seed": 0}
-        )
-        job, _ = mgr.submit(request_key(normalized), normalized)
-        jobs.append(job)
-        mgr.start()
-        try:
-            for job in jobs:
-                assert job.done_event.wait(120)
-                assert job.state == "done"
-        finally:
-            mgr.stop()
-        sequences = [
-            [event["event"] for event in events.for_job(job.id)] for job in jobs
-        ]
-        return [job.payload for job in jobs], sequences, metrics.as_dict()
+    requests = [
+        validate_request({"circuit": "KSA4", "num_planes": 3, "seed": seed})
+        for seed in range(4)
+    ]
+    # Mixed-in incompatible job must survive the drain untouched.
+    requests.append(validate_request({"circuit": "KSA4", "num_planes": 2, "seed": 0}))
+    metrics = MetricsRegistry()
+    events = EventLog()
+    mgr = JobManager(
+        workers=1, queue_size=16, retries=0, backoff=0.0,
+        metrics=metrics, events=events,
+        store=ResultStore(root=str(tmp_path), enabled=True),
+    )
+    jobs = [mgr.submit(request_key(normalized), normalized)[0]
+            for normalized in requests]
+    mgr.start()
+    try:
+        for job in jobs:
+            assert job.done_event.wait(120)
+            assert job.state == "done"
+    finally:
+        mgr.stop()
+    packed_sequences = [
+        [event["event"] for event in events.for_job(job.id)] for job in jobs
+    ]
+    snapshot = metrics.as_dict()
 
-    solo_payloads, solo_sequences, _ = submit_all(False)
-    packed_payloads, packed_sequences, snapshot = submit_all(True)
-    assert solo_payloads == packed_payloads
+    solo_payloads = [
+        payload_to_jsonable(execute_job(request_to_job(normalized)))
+        for normalized in requests
+    ]
+    assert [job.payload for job in jobs] == solo_payloads
     assert snapshot["service.megabatch.groups"]["value"] == 1
     assert snapshot["service.megabatch.packed_jobs"]["value"] == 4
     # A packed job lives through the same lifecycle as a solo job.
-    assert packed_sequences == solo_sequences
-    assert solo_sequences[0] == [
-        "queued", "leased", "solving", "solved", "stored", "done"
-    ]
+    solo_sequence = ["queued", "leased", "solving", "solved", "stored", "done"]
+    assert packed_sequences == [solo_sequence] * len(jobs)
     for phase in ("queue_wait", "solve", "finalize", "store"):
         assert snapshot[f"service.job.{phase}_seconds"]["count"] == 5
 
@@ -328,7 +353,7 @@ def test_job_manager_megabatch_drains_compatible_queue(tmp_path):
 def test_job_manager_megabatch_forced_off_for_process_isolation():
     from repro.service.jobs import JobManager
 
-    mgr = JobManager(workers=1, isolation="process", megabatch=True)
+    mgr = JobManager(workers=1, isolation="process")
     assert mgr.megabatch is False
 
 
@@ -343,9 +368,7 @@ def test_service_metrics_exposes_gauges():
     from repro.service.server import PartitionService
     from repro.service.store import ResultStore
 
-    service = PartitionService(
-        workers=1, store=ResultStore(enabled=False), megabatch=True
-    )
+    service = PartitionService(workers=1, store=ResultStore(enabled=False))
     try:
         status, payload = service.metrics_payload()
         assert status == 200

@@ -53,7 +53,6 @@ def fleet_server(tmp_path, **opts):
 @contextlib.contextmanager
 def fleet_worker(server, worker_id, **opts):
     opts.setdefault("poll", 0.2)
-    opts.setdefault("store", server.service.store)
     worker = FleetWorker(server.url, worker_id=worker_id, **opts)
     thread = threading.Thread(target=worker.run, daemon=True)
     thread.start()
@@ -159,7 +158,6 @@ def test_hang_fault_loses_heartbeats_and_lease_expires_to_clean_worker(
     monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "30")
     with fleet_server(tmp_path, lease_ttl=1.0) as (server, client):
         hung = FleetWorker(server.url, worker_id="hung", poll=0.1,
-                           store=server.service.store,
                            fault_plan=FaultPlan.parse("hang@0"))
         hung_thread = threading.Thread(target=hung.run, daemon=True)
         hung_thread.start()
@@ -282,3 +280,46 @@ def test_fleet_results_land_in_the_shared_store(tmp_path):
     payload, meta = entry
     assert meta["request"] == normalized
     assert canonical(payload) == canonical(local_payload(REQ))
+
+
+def test_coordinator_is_the_only_retry_owner(tmp_path, monkeypatch):
+    """A job that raises on every attempt runs once per lease: under
+    coordinator ``retries=2`` that is exactly 3 executions, because the
+    worker's own ``run_jobs`` does not retry."""
+    import repro.harness.runner as runner_mod
+
+    calls = []
+
+    def always_raises(job):
+        calls.append(job.seed)
+        raise ReproError("solver exploded")
+
+    monkeypatch.setattr(runner_mod, "execute_job", always_raises)
+    with fleet_server(tmp_path, retries=2) as (server, client):
+        with fleet_worker(server, "doomed-solver"):
+            job = client.submit(REQ)
+            status = client.wait(job["id"], timeout=30.0)
+        counters = fleet_counters(client)
+    assert status["state"] == "failed"
+    assert "solver exploded" in status["error"]
+    assert len(calls) == 3
+    assert counters["fleet.failures.crashed"] == 3
+
+
+def test_solved_fleet_job_is_stored_once(tmp_path, monkeypatch):
+    """The coordinator's service stores a fleet result; the worker does
+    not write the same key a second time."""
+    puts = []
+    real_put = ResultStore.put
+
+    def counting_put(self, key, payload, meta=None):
+        puts.append(key)
+        return real_put(self, key, payload, meta=meta)
+
+    monkeypatch.setattr(ResultStore, "put", counting_put)
+    with fleet_server(tmp_path) as (server, client):
+        with fleet_worker(server, "w1"):
+            client.partition(REQ)
+    from repro.service.api import request_key
+
+    assert puts == [request_key(validate_request(dict(REQ)))]

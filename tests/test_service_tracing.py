@@ -52,8 +52,7 @@ def running_server(tmp_path, **opts):
 
 @contextlib.contextmanager
 def fleet_worker(server):
-    worker = FleetWorker(server.url, worker_id="trace-node", poll=0.2,
-                         store=server.service.store)
+    worker = FleetWorker(server.url, worker_id="trace-node", poll=0.2)
     thread = threading.Thread(target=worker.run, daemon=True)
     thread.start()
     try:

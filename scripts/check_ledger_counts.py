@@ -3,11 +3,13 @@
 
 Runs ``benchmarks/ledger/bench.py`` with the arguments committed in
 ``scripts/ledger_counts.json`` (a traced pass of a fixed op count on a
-fixed seed) and compares the descent's iteration counts it reports with
-the committed ones.  The counts are deterministic: a change that keeps
-every float of the solver keeps them exactly, so any difference means
-the solver's arithmetic or its stopping changed.  Timings are printed
-but not checked.
+fixed seed) and compares the counts it reports with the committed ones:
+the descent's iteration counts, and on ``hit-heavy`` the store hit ratio
+and the HTTP calls per op.  The counts are deterministic: a change that
+keeps every float of the solver keeps the iteration counts exactly, so
+any difference means the solver's arithmetic or its stopping changed; a
+hit ratio below 1 or a third HTTP call means a store hit stopped being
+one.  Timings are printed but not checked.
 
 Usage::
 

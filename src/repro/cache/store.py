@@ -17,6 +17,16 @@ of the artifact changes the key.
 Every entry carries a payload checksum; a corrupted entry (truncated
 file, bad JSON, schema drift, checksum or array mismatch) is counted,
 deleted and reported as a miss — callers regenerate and overwrite.
+
+Every read re-reads the entry file.  When its bytes equal bytes this
+cache object already parsed and verified for the same key and kind, the
+read returns that parse instead of parsing and checksumming again (a
+memo of at most :data:`VERIFIED_MEMO_BYTES` raw bytes, least recently
+read out first; entries with arrays are never memoized).  Any change on
+disk is therefore seen on the next read, and a memoized read counts
+exactly as a cold one.  The returned payload and meta are shared between
+readers: treat them as read-only.
+
 Hit/miss/write/corrupt counts are kept on :attr:`ArtifactCache.stats`
 and mirrored into the process metrics registry (``cache.*``) whenever
 observability is enabled.
@@ -27,7 +37,9 @@ import io
 import json
 import os
 import shutil
+import threading
 import uuid
+from collections import OrderedDict
 
 import numpy as np
 
@@ -39,6 +51,10 @@ from repro.obs import OBS
 #: or serialization output changes so stale artifacts can never be
 #: replayed into newer code.
 CACHE_SCHEMA_VERSION = 1
+
+#: Bound on the raw entry bytes an :class:`ArtifactCache` keeps parsed
+#: and verified (see the module docstring); a larger entry is not kept.
+VERIFIED_MEMO_BYTES = 4 * 1024 * 1024
 
 
 def cache_enabled(environ=None):
@@ -131,6 +147,10 @@ class ArtifactCache:
         self.root = root if root is not None else default_cache_root()
         self.namespace = namespace
         self.stats = {"hits": 0, "misses": 0, "writes": 0, "corrupt": 0}
+        # key -> (kind, raw bytes, payload, meta), least recently read first.
+        self._memo = OrderedDict()
+        self._memo_bytes = 0
+        self._memo_lock = threading.Lock()
 
     @property
     def path(self):
@@ -150,7 +170,27 @@ class ArtifactCache:
         shard = os.path.join(self.path, key[:2])
         return os.path.join(shard, f"{key}.json"), os.path.join(shard, f"{key}.npz")
 
+    def _forget(self, key):
+        with self._memo_lock:
+            known = self._memo.pop(key, None)
+            if known is not None:
+                self._memo_bytes -= len(known[1])
+
+    def _remember(self, key, kind, raw, payload, meta):
+        if len(raw) > VERIFIED_MEMO_BYTES:
+            return
+        with self._memo_lock:
+            known = self._memo.pop(key, None)
+            if known is not None:
+                self._memo_bytes -= len(known[1])
+            self._memo[key] = (kind, raw, payload, meta)
+            self._memo_bytes += len(raw)
+            while self._memo_bytes > VERIFIED_MEMO_BYTES:
+                _key, evicted = self._memo.popitem(last=False)
+                self._memo_bytes -= len(evicted[1])
+
     def _drop_entry(self, key):
+        self._forget(key)
         for path in self._entry_paths(key):
             try:
                 os.remove(path)
@@ -214,23 +254,37 @@ class ArtifactCache:
 
         ``meta`` is whatever dict :meth:`put` stored alongside the
         payload — the service's ECO route uses it to recover the
-        canonical request a stored result answered.
+        canonical request a stored result answered.  ``payload`` and
+        ``meta`` may be the objects an earlier read returned (the
+        verified-bytes memo; see the module docstring): do not mutate
+        them.
         """
         if not self.enabled:
             return None
         json_path, npz_path = self._entry_paths(key)
         try:
-            with open(json_path) as handle:
-                entry = json.load(handle)
+            with open(json_path, "rb", buffering=0) as handle:
+                raw = handle.readall()
         except FileNotFoundError:
+            self._forget(key)
             self._count("misses")
             return None
-        except (OSError, ValueError):
+        except OSError:
             self._count("corrupt")
             self._count("misses")
             self._drop_entry(key)
             return None
+        with self._memo_lock:
+            known = self._memo.get(key)
+            if known is not None and known[0] == kind and known[1] == raw:
+                self._memo.move_to_end(key)
+            else:
+                known = None
+        if known is not None:
+            self._count("hits")
+            return known[2], {}, known[3]
         try:
+            entry = json.loads(raw)
             if entry["schema"] != CACHE_SCHEMA_VERSION or entry["kind"] != kind:
                 raise ValueError("schema or kind drift")
             payload = entry["payload"]
@@ -241,13 +295,16 @@ class ArtifactCache:
                 with np.load(npz_path) as data:
                     for name in entry["arrays"]:
                         arrays[name] = np.array(data[name])
-        except (KeyError, ValueError, OSError):
+        except (KeyError, TypeError, ValueError, OSError):
             self._count("corrupt")
             self._count("misses")
             self._drop_entry(key)
             return None
+        meta = entry.get("meta", {})
+        if not arrays:
+            self._remember(key, kind, raw, payload, meta)
         self._count("hits")
-        return payload, arrays, entry.get("meta", {})
+        return payload, arrays, meta
 
     # ------------------------------------------------------------------
     def entries(self):

@@ -47,14 +47,25 @@ connected span tree whose root carries the request id.  Per-route
 latency lands in bounded ``service.http.seconds.<route>`` histograms
 (ids collapse into the route label, so label cardinality stays fixed).
 
+Connections: each accepted connection runs on a daemon handler thread.
+A thread whose connection ended parks for the next one (at most
+:data:`IDLE_HANDLER_THREADS` park; the rest exit), and a new thread
+starts only when none is parked, so there is no cap: fleet lease
+long-polls and slow clients each hold their own thread.  A socket read
+that waits :data:`HANDLER_TIMEOUT_S` seconds closes the connection, and
+a request whose ``Content-Length`` is not a non-negative integer gets a
+400 and a closed connection.
+
 Determinism: the server never mutates a request — the job built from it
 is field-for-field the one the CLI builds (see
 :func:`repro.service.api.request_to_job`), so a served assignment is
 bitwise-identical to a local run with the same inputs.
 """
 
+import contextvars
 import io
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -100,6 +111,15 @@ DEFAULT_PORT = 8731
 DEFAULT_QUEUE_SIZE = 64
 DEFAULT_RETRY_AFTER = 1
 DEFAULT_MAX_WORKERS = 4
+
+#: Handler threads kept parked for the next connection.
+IDLE_HANDLER_THREADS = 4
+
+#: Seconds a handler waits on one socket read or write (the request
+#: line, headers, body, or a client not reading its response) before it
+#: closes the connection.  Server-side waits, such as a fleet lease
+#: long-poll, are not socket reads and are not bounded by it.
+HANDLER_TIMEOUT_S = 30.0
 
 
 def resolve_host(host=None, environ=None):
@@ -651,6 +671,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-gpp-service"
     protocol_version = "HTTP/1.1"
+    timeout = HANDLER_TIMEOUT_S
+    # Buffer the response; _send flushes it, so headers and body leave
+    # in one send.
+    wbufsize = -1
     _trace_ctx = None  # set per request by _dispatch
 
     @property
@@ -663,8 +687,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- JSON plumbing -------------------------------------------------
     def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
+        header = self.headers.get("Content-Length")
+        try:
+            length = int(header or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry a
+            # next request.
+            self.close_connection = True
+            if length < 0:
+                raise BadRequestError(
+                    f"Content-Length must be a non-negative integer, got {header!r}"
+                )
             raise BadRequestError(
                 f"request body of {length} bytes exceeds the {MAX_BODY_BYTES} limit"
             )
@@ -677,9 +712,15 @@ class _Handler(BaseHTTPRequestHandler):
             raise BadRequestError(f"request body is not valid JSON: {error}") from None
 
     def _send_json(self, status, payload, headers=()):
-        body = json.dumps(payload).encode()
+        return self._send(status, json.dumps(payload).encode(),
+                          "application/json", headers)
+
+    def _send_text(self, status, text, content_type="text/plain; charset=utf-8"):
+        return self._send(status, text.encode(), content_type)
+
+    def _send(self, status, body, content_type, headers=()):
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self._trace_ctx is not None:
             self.send_header(TRACE_HEADER, self._trace_ctx.to_header())
@@ -687,17 +728,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
-        return status
-
-    def _send_text(self, status, text, content_type="text/plain; charset=utf-8"):
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self._trace_ctx is not None:
-            self.send_header(TRACE_HEADER, self._trace_ctx.to_header())
-        self.end_headers()
-        self.wfile.write(body)
+        self.wfile.flush()
         return status
 
     def _request_context(self):
@@ -739,6 +770,11 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except BrokenPipeError:
             status = 499  # client went away mid-response; nothing to send
+        except TimeoutError:
+            # A socket read or write waited HANDLER_TIMEOUT_S: drop the
+            # connection without answering.
+            status = 408
+            self.close_connection = True
         except Exception as error:  # noqa: BLE001 - last-resort shield
             # The server must keep serving no matter what a request did.
             try:
@@ -835,8 +871,22 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("PATCH")
 
 
+class _Parked:
+    """A handler thread waiting for its next connection."""
+
+    __slots__ = ("thread", "wake", "work")
+
+    def __init__(self):
+        self.thread = threading.current_thread()
+        self.wake = threading.Lock()
+        self.wake.acquire()
+        self.work = None
+
+
 class PartitionHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer bound to one :class:`PartitionService`."""
+    """HTTP server bound to one :class:`PartitionService`; each connection
+    runs on a daemon handler thread, reused once idle (module docstring).
+    """
 
     daemon_threads = True
     # The stdlib default listen backlog of 5 drops connections under a
@@ -847,7 +897,55 @@ class PartitionHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, service, verbose=False):
         self.service = service
         self.verbose = verbose
+        self._parked = []
+        self._parked_lock = threading.Lock()
+        self._closed = False
         super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address):
+        """Hand the connection to a parked handler thread, else start one."""
+        with self._parked_lock:
+            parked = self._parked.pop() if self._parked else None
+        if parked is None:
+            threading.Thread(
+                target=self._handler_loop, args=(request, client_address),
+                daemon=self.daemon_threads,
+            ).start()
+        else:
+            parked.work = (request, client_address)
+            parked.wake.release()
+
+    def _handler_loop(self, request, client_address):
+        parked = _Parked()
+        work = (request, client_address)
+        while work is not None:
+            # A fresh context per connection, as a fresh thread would have.
+            contextvars.Context().run(self.process_request_thread, *work)
+            with self._parked_lock:
+                if self._closed or len(self._parked) >= IDLE_HANDLER_THREADS:
+                    return
+                self._parked.append(parked)
+            parked.wake.acquire()
+            work, parked.work = parked.work, None
+
+    def handle_error(self, request, client_address):
+        """Print a handler's traceback unless the client hung up."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def server_close(self):
+        """Close the listener and end the parked handler threads.
+
+        Threads still serving a connection are daemons and end with it.
+        """
+        super().server_close()
+        with self._parked_lock:
+            self._closed = True
+            parked, self._parked = self._parked, []
+        for thread in parked:
+            thread.wake.release()
+        for thread in parked:
+            thread.thread.join(timeout=1.0)
 
     @property
     def url(self):

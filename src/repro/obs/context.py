@@ -36,8 +36,8 @@ this module existed.
 """
 
 import hashlib
+import os
 import re
-import uuid
 
 from repro import envcfg
 
@@ -74,8 +74,10 @@ class TraceContext:
     @classmethod
     def new(cls, request_id=None, trace_id=None):
         """A fresh root context; its ``span_id`` is the tree's root span."""
-        trace_id = trace_id or uuid.uuid4().hex
-        request_id = request_id or uuid.uuid4().hex[:16]
+        if not (trace_id and request_id):
+            fresh = os.urandom(24).hex()  # both ids from one syscall
+            trace_id = trace_id or fresh[:32]
+            request_id = request_id or fresh[32:]
         return cls(trace_id, request_id, _derive(trace_id, "", "", "root"))
 
     def child(self, key=None):

@@ -106,7 +106,11 @@ class Span:
                 stack.pop()
             if stack:
                 stack.pop()
-        self.tracer._record(self, failed=exc_type is not None)
+        self.tracer.record(
+            self.path, self.name, self.start, self.duration_s, self.attrs,
+            ctx=self.ctx, start_unix=self.start_unix,
+            failed=exc_type is not None,
+        )
         return False
 
 
@@ -172,26 +176,34 @@ class Tracer:
             return NOOP_SPAN
         return Span(self, name, attrs, ctx=ctx)
 
-    def _record(self, span, failed):
-        aggregate = self.aggregates.get(span.path)
+    def record(self, path, name, start, duration_s, attrs, ctx=None,
+               start_unix=None, failed=False):
+        """Record one completed span: its aggregate and its event.
+
+        :class:`Span` calls this on exit.  A caller that timed a span
+        itself (``start`` is a ``time.perf_counter`` reading) records it
+        here directly, e.g. under a lock, with no ``Span`` or throwaway
+        tracer in between.
+        """
+        aggregate = self.aggregates.get(path)
         if aggregate is None:
-            aggregate = self.aggregates[span.path] = SpanAggregate(span.path)
-        aggregate.add(span.duration_s, span.attrs, failed)
+            aggregate = self.aggregates[path] = SpanAggregate(path)
+        aggregate.add(duration_s, attrs, failed)
         if len(self.events) < self.max_events:
             event = {
-                "path": span.path,
-                "name": span.name,
-                "start_s": span.start - self._epoch,
-                "duration_s": span.duration_s,
-                "attrs": dict(span.attrs),
+                "path": path,
+                "name": name,
+                "start_s": start - self._epoch,
+                "duration_s": duration_s,
+                "attrs": dict(attrs),
             }
-            if span.ctx is not None:
-                event["start_unix"] = span.start_unix
+            if ctx is not None:
+                event["start_unix"] = start_unix
                 event["ctx"] = {
-                    "trace": span.ctx.trace_id,
-                    "span": span.ctx.span_id,
-                    "parent": span.ctx.parent_id,
-                    "request": span.ctx.request_id,
+                    "trace": ctx.trace_id,
+                    "span": ctx.span_id,
+                    "parent": ctx.parent_id,
+                    "request": ctx.request_id,
                 }
             self.events.append(event)
         else:

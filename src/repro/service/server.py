@@ -1,4 +1,5 @@
-"""The partitioning HTTP server (stdlib ``ThreadingHTTPServer``).
+"""The partitioning HTTP server: a strict HTTP/1.x handler on a
+``ThreadingHTTPServer`` accept loop.
 
 Routes (all JSON in, JSON out)::
 
@@ -32,11 +33,11 @@ coordinator (see :mod:`repro.fleet`)::
 Observability: the server owns a private
 :class:`~repro.obs.metrics.MetricsRegistry` and
 :class:`~repro.obs.tracer.Tracer`, separate from the process capture
-``OBS``.  Request handler threads record each request into a
-short-lived private tracer and merge it into the server tracer under a
-lock; under deep tracing each job's capture-scope snapshot is folded in
-the same way (:meth:`PartitionService.absorb`; see
-:mod:`repro.service.jobs`).
+``OBS``.  Handler threads time each request themselves and record its
+span, counters and latency straight into the server tracer and registry
+under one lock (:meth:`PartitionService.record_request`); under deep
+tracing each job's capture-scope snapshot is folded in under the same
+lock (:meth:`PartitionService.absorb`; see :mod:`repro.service.jobs`).
 
 Trace context: unless ``REPRO_TRACE_CONTEXT`` is off, every request
 gets a :class:`~repro.obs.context.TraceContext` — continued from an
@@ -52,9 +53,29 @@ A thread whose connection ended parks for the next one (at most
 :data:`IDLE_HANDLER_THREADS` park; the rest exit), and a new thread
 starts only when none is parked, so there is no cap: fleet lease
 long-polls and slow clients each hold their own thread.  A socket read
-that waits :data:`HANDLER_TIMEOUT_S` seconds closes the connection, and
-a request whose ``Content-Length`` is not a non-negative integer gets a
-400 and a closed connection.
+or write that waits :data:`HANDLER_TIMEOUT_S` seconds closes the
+connection without an answer.
+
+The request reader is strict (RFC 9112) and accepts only HTTP/1.0 and
+HTTP/1.1 with ``Content-Length`` bodies; anything else is answered with
+the API's ``{"error", "message"}`` JSON and a closed connection:
+
+* HTTP/2 and later → 505; any other request line that is not
+  ``METHOD SP target SP HTTP/1.x`` → 400; a method other than GET, POST
+  and PATCH → 501; a request line over 64 KiB → 414;
+* a header line over 64 KiB, or more than 100 header lines (the blank
+  line that ends them counted, as the stdlib counts) → 431; a line with no
+  colon, whitespace before the colon, an obs-fold or a control
+  character → 400;
+* any ``Transfer-Encoding`` → 411; a ``Content-Length`` that is not a
+  non-negative integer, two that disagree, or one over
+  :data:`MAX_BODY_BYTES` → 400.
+
+HTTP/1.1 connections stay open unless the client sends ``Connection:
+close``; HTTP/1.0 ones close unless it sends ``keep-alive``.  A response
+sent before the request body was read also closes the connection.
+``Expect: 100-continue`` gets its interim ``100 Continue`` just before
+the body is read, and every response leaves in one ``sendall``.
 
 Determinism: the server never mutates a request — the job built from it
 is field-for-field the one the CLI builds (see
@@ -65,10 +86,15 @@ bitwise-identical to a local run with the same inputs.
 import contextvars
 import io
 import json
+import re
+import socket
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from collections import OrderedDict
+from email.utils import formatdate
+from http import HTTPStatus
+from http.server import ThreadingHTTPServer
 from urllib.parse import parse_qs
 
 from repro import __version__, envcfg
@@ -120,6 +146,10 @@ IDLE_HANDLER_THREADS = 4
 #: closes the connection.  Server-side waits, such as a fleet lease
 #: long-poll, are not socket reads and are not bounded by it.
 HANDLER_TIMEOUT_S = 30.0
+
+#: Bound on the JSON text of result payloads the server keeps encoded
+#: (see :class:`_ResultText`); a larger payload is not kept.
+RESULT_TEXT_BYTES = 1024 * 1024
 
 
 def resolve_host(host=None, environ=None):
@@ -274,13 +304,21 @@ class PartitionService:
             self.fleet.stop()
         return self
 
-    def record_request(self, tracer, status, route=None, duration_s=None):
-        """Merge a request-scoped tracer + count the response status."""
+    def record_request(self, status, route=None, started=None, duration_s=None,
+                       path=None, ctx=None, start_unix=None, failed=False):
+        """Count one response; for a routed request (``route`` given)
+        also record its ``service.request`` span, timed by the handler
+        from ``started`` (a ``time.perf_counter`` reading), and its
+        latency, straight into the server tracer and metrics."""
         with self._telemetry_lock:
-            self.tracer.merge(tracer)
             self.metrics.counter("service.http.requests").inc()
             self.metrics.counter(f"service.http.status.{status}").inc()
-            if route is not None and duration_s is not None:
+            if route is not None:
+                self.tracer.record(
+                    "service.request", "service.request", started, duration_s,
+                    {"route": route, "path": path}, ctx=ctx,
+                    start_unix=start_unix, failed=failed,
+                )
                 self.metrics.histogram(
                     f"service.http.seconds.{route}"
                 ).observe(duration_s)
@@ -666,51 +704,263 @@ class PartitionService:
         return 200, buffer.getvalue()
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin JSON shell around :class:`PartitionService` route logic."""
+class _ProtocolError(ServiceError):
+    """A request head the reader rejects; answered, then the connection closes."""
 
-    server_version = "repro-gpp-service"
-    protocol_version = "HTTP/1.1"
+    def __init__(self, status, code, message):
+        super().__init__(message)
+        self.status = status
+        self.code = code
+
+
+_TOKEN = rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+"
+#: ``METHOD SP request-target SP HTTP-version CRLF`` (RFC 9112 §3); a
+#: bare LF ends a line too (§2.2).
+_REQUEST_LINE = re.compile(
+    rb"(" + _TOKEN + rb") ([\x21-\x7e]+) HTTP/([0-9])\.([0-9])\r?\n"
+)
+#: ``field-name ":" OWS field-value OWS CRLF`` (RFC 9112 §5): no space
+#: before the colon, no obs-fold, no control characters but HTAB.
+_FIELD_LINE = re.compile(rb"(" + _TOKEN + rb"):([\t\x20-\x7e\x80-\xff]*)\r?\n")
+
+#: Longest request line or header line, and most header lines (the
+#: blank line that ends the head included) — the stdlib's limits.
+_MAX_LINE = 65536
+_MAX_HEADER_LINES = 100
+
+_METHODS = ("GET", "POST", "PATCH")
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_SERVER_HEADER = f"Server: repro-gpp-service Python/{sys.version.split()[0]}\r\n"
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+_TRACE_KEY = TRACE_HEADER.lower()
+
+
+def _shown(line):
+    """A rejected request line, as an error message quotes it."""
+    return line.rstrip(b"\r\n")[:200].decode("latin-1")
+
+
+class _ResultText:
+    """The JSON text of result payloads, remembered by object identity.
+
+    A result-store read of an unchanged entry hands every reader the
+    same payload object, which no reader mutates (see "What a hit
+    reads" in docs/service.md), and a finished job's payload is set
+    once; so the text encoded for one fetch of a payload serves every
+    later fetch of it.  An entry holds its payload, so its id cannot be
+    reused while remembered; at most :data:`RESULT_TEXT_BYTES` of text
+    are kept, least recently used out first.
+    """
+
+    def __init__(self):
+        self._texts = OrderedDict()  # id(payload) -> (payload, text)
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def body(self, fields):
+        """``json.dumps(fields).encode()`` for a result route's body,
+        whose last field is ``"result"``."""
+        fields = dict(fields)
+        payload = fields.pop("result")
+        fields["result"] = None
+        with self._lock:
+            known = self._texts.get(id(payload))
+            if known is not None:
+                self._texts.move_to_end(id(payload))
+        if known is None:
+            text = json.dumps(payload).encode()
+            if len(text) <= RESULT_TEXT_BYTES:
+                self._remember(payload, text)
+        else:
+            text = known[1]
+        head = json.dumps(fields).encode()[:-len(b"null}")]
+        return b"".join((head, text, b"}"))
+
+    def _remember(self, payload, text):
+        with self._lock:
+            if id(payload) in self._texts:
+                return
+            self._texts[id(payload)] = (payload, text)
+            self._bytes += len(text)
+            while self._bytes > RESULT_TEXT_BYTES:
+                _id, (_payload, evicted) = self._texts.popitem(last=False)
+                self._bytes -= len(evicted)
+
+
+class _Handler:
+    """One client connection: a strict HTTP/1.x request reader and a
+    one-send response writer around :class:`PartitionService` routes.
+
+    Requests are read in order on one connection; see the module
+    docstring for what the reader accepts and rejects.
+    """
+
     timeout = HANDLER_TIMEOUT_S
-    # Buffer the response; _send flushes it, so headers and body leave
-    # in one send.
-    wbufsize = -1
-    _trace_ctx = None  # set per request by _dispatch
 
-    @property
-    def service(self):
-        return self.server.service
+    def __init__(self, sock, client_address, server):
+        self.sock = sock
+        self.client_address = client_address
+        self.server = server
+        self.service = server.service
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if getattr(self.server, "verbose", False):
-            BaseHTTPRequestHandler.log_message(self, format, *args)
-
-    # -- JSON plumbing -------------------------------------------------
-    def _read_body(self):
-        header = self.headers.get("Content-Length")
+    def serve(self):
+        """Serve requests until either side ends the connection."""
+        self.sock.settimeout(self.timeout)
+        self.rfile = self.sock.makefile("rb")
         try:
-            length = int(header or 0)
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            # The body stays unread, so the connection cannot carry a
-            # next request.
-            self.close_connection = True
-            if length < 0:
-                raise BadRequestError(
-                    f"Content-Length must be a non-negative integer, got {header!r}"
-                )
-            raise BadRequestError(
-                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES} limit"
+            while True:
+                try:
+                    if not self._read_head():
+                        return
+                except _ProtocolError as error:
+                    self._send_json(error.status,
+                                    {"error": error.code, "message": str(error)})
+                    self.service.record_request(error.status)
+                    return
+                self._dispatch()
+                if self.close_connection:
+                    return
+        except (socket.timeout, ConnectionError):
+            # A socket read or write waited HANDLER_TIMEOUT_S, or the
+            # client went away: drop the connection without answering.
+            return
+        finally:
+            self.rfile.close()
+
+    # -- request head --------------------------------------------------
+    def _read_head(self):
+        """Read one request head into ``self``; False when the client
+        closed instead.  Raises :class:`_ProtocolError` on a bad head."""
+        self.requestline = None
+        self.close_connection = True
+        self._persistent_asked = True  # unknown until the head parses
+        self.http11 = True
+        self._trace_ctx = None
+        self._body_left = 0
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):
+            # One empty line before a request is ignored (RFC 9112 §2.2).
+            line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _ProtocolError(414, "uri-too-long",
+                                 f"request line exceeds {_MAX_LINE} bytes")
+        if not line.endswith(b"\n"):
+            return False
+        self.requestline = line
+        match = _REQUEST_LINE.fullmatch(line)
+        if match is None or match.group(3) == b"0":
+            raise _ProtocolError(
+                400, "bad-request",
+                "request line must be 'METHOD SP target SP HTTP/1.x', "
+                f"got {_shown(line)!r}",
             )
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
+        method, target, major, minor = match.groups()
+        if major != b"1":
+            raise _ProtocolError(
+                505, "http-version-not-supported",
+                f"HTTP/{major.decode()}.{minor.decode()} is not supported; "
+                "use HTTP/1.0 or HTTP/1.1",
+            )
+        self.http11 = minor != b"0"
+
+        headers = {}
+        lines = 0
+        while True:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise _ProtocolError(431, "header-fields-too-large",
+                                     f"header line exceeds {_MAX_LINE} bytes")
+            lines += 1
+            if lines > _MAX_HEADER_LINES:
+                raise _ProtocolError(
+                    431, "header-fields-too-large",
+                    f"more than {_MAX_HEADER_LINES - 1} header fields",
+                )
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line.endswith(b"\n"):
+                return False
+            field = _FIELD_LINE.fullmatch(line)
+            if field is None:
+                raise _ProtocolError(
+                    400, "bad-request",
+                    f"malformed header line {_shown(line)!r}",
+                )
+            name = field.group(1).decode("ascii").lower()
+            value = field.group(2).strip(b" \t").decode("latin-1")
+            seen = headers.setdefault(name, value)
+            if name == "content-length" and seen != value:
+                raise _ProtocolError(
+                    400, "bad-request",
+                    f"conflicting Content-Length headers {seen!r} and {value!r}",
+                )
+
+        if "transfer-encoding" in headers:
+            raise _ProtocolError(
+                411, "length-required",
+                "Transfer-Encoding is not supported; send the body with a "
+                "Content-Length",
+            )
+        length = headers.get("content-length")
+        if length is not None:
+            if not (length.isdigit() and length.isascii()):
+                raise _ProtocolError(
+                    400, "bad-request",
+                    f"Content-Length must be a non-negative integer, got {length!r}",
+                )
+            # int() refuses over 4300 digits; no body has over 20.
+            if len(length) > 20 or int(length) > MAX_BODY_BYTES:
+                raise _ProtocolError(
+                    400, "bad-request",
+                    f"request body of {length[:24]} bytes exceeds the "
+                    f"{MAX_BODY_BYTES} limit",
+                )
+            self._body_left = int(length)
+        self.method = method.decode("ascii")
+        if self.method not in _METHODS:
+            raise _ProtocolError(501, "not-implemented",
+                                 f"unsupported method {self.method!r}")
+
+        target = target.decode("ascii")
+        if target.startswith("//"):
+            # '//x' reads as a host to clients; serve it as '/x'.
+            target = "/" + target.lstrip("/")
+        self.target = target
+        self.headers = headers
+        connection = headers.get("connection")
+        tokens = (
+            {token.strip() for token in connection.lower().split(",")}
+            if connection else ()
+        )
+        if self.http11:
+            self.close_connection = "close" in tokens
+        else:
+            self.close_connection = "keep-alive" not in tokens
+        self._persistent_asked = not self.close_connection
+        self._expect_continue = (
+            self.http11 and headers.get("expect", "").lower() == "100-continue"
+        )
+        return True
+
+    def _read_body(self):
+        length = self._body_left
+        if not length:
             raise BadRequestError("request body must be a JSON object")
+        if self._expect_continue:
+            self.sock.sendall(_CONTINUE)
+        raw = self.rfile.read(length)
+        self._body_left = 0
+        if len(raw) < length:
+            self.close_connection = True
+            raise BadRequestError(
+                f"request body ended after {len(raw)} of {length} bytes"
+            )
         try:
             return json.loads(raw)
         except ValueError as error:
             raise BadRequestError(f"request body is not valid JSON: {error}") from None
 
+    # -- response ------------------------------------------------------
     def _send_json(self, status, payload, headers=()):
         return self._send(status, json.dumps(payload).encode(),
                           "application/json", headers)
@@ -719,18 +969,40 @@ class _Handler(BaseHTTPRequestHandler):
         return self._send(status, text.encode(), content_type)
 
     def _send(self, status, body, content_type, headers=()):
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        """Write the whole response with one ``sendall``."""
+        if self._body_left:
+            # The request body was never read, so the next request
+            # would start inside it: this response is the last.
+            self.close_connection = True
+        head = [
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n",
+            _SERVER_HEADER,
+            self.server.date_header(),
+            f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n",
+        ]
         if self._trace_ctx is not None:
-            self.send_header(TRACE_HEADER, self._trace_ctx.to_header())
+            head.append(f"{TRACE_HEADER}: {self._trace_ctx.to_header()}\r\n")
         for name, value in headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-        self.wfile.flush()
+            head.append(f"{name}: {value}\r\n")
+        if self.close_connection:
+            # Said only where the client may expect the connection to
+            # stay open; a client that asked to close knows.
+            if self._persistent_asked:
+                head.append("Connection: close\r\n")
+        elif not self.http11:
+            head.append("Connection: keep-alive\r\n")
+        head.append("\r\n")
+        self.sock.sendall("".join(head).encode("latin-1") + body)
+        if self.server.verbose:
+            self._log(status)
         return status
 
+    def _log(self, status):
+        line = (self.requestline or b"-").rstrip(b"\r\n").decode("latin-1")
+        stamp = time.strftime("%d/%b/%Y %H:%M:%S")
+        sys.stderr.write(f'{self.client_address[0]} - - [{stamp}] "{line}" {status} -\n')
+
+    # -- routing -------------------------------------------------------
     def _request_context(self):
         """This request's trace context (``None`` with contexts off).
 
@@ -740,23 +1012,23 @@ class _Handler(BaseHTTPRequestHandler):
         """
         if not context_enabled():
             return None
-        incoming = TraceContext.from_header(self.headers.get(TRACE_HEADER))
+        incoming = TraceContext.from_header(self.headers.get(_TRACE_KEY))
         if incoming is not None:
             return incoming.child("request")
         return TraceContext.new()
 
-    def _dispatch(self, method):
-        tracer = Tracer()
-        tracer.enabled = True
-        path = self.path.split("?")[0].rstrip("/") or "/"
+    def _dispatch(self):
+        method = self.method
+        path = self.target.split("?")[0].rstrip("/") or "/"
         route = route_label(method, path)
-        self._trace_ctx = self._request_context()
+        self._trace_ctx = ctx = self._request_context()
+        start_unix = time.time() if ctx is not None else None
         status = 500
+        failed = True
         started = time.perf_counter()
         try:
-            with tracer.span("service.request", ctx=self._trace_ctx,
-                             route=route, path=f"{method} {path}"):
-                status = self._route(method, path)
+            status = self._route(method, path)
+            failed = False
         except QueueFullError as error:
             status = self._send_json(
                 error.status,
@@ -768,9 +1040,10 @@ class _Handler(BaseHTTPRequestHandler):
             status = self._send_json(
                 error.status, {"error": error.code, "message": str(error)}
             )
-        except BrokenPipeError:
+        except ConnectionError:
             status = 499  # client went away mid-response; nothing to send
-        except TimeoutError:
+            self.close_connection = True
+        except socket.timeout:
             # A socket read or write waited HANDLER_TIMEOUT_S: drop the
             # connection without answering.
             status = 408
@@ -783,10 +1056,13 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             except Exception:
                 status = 500
+                self.close_connection = True
         finally:
             self.service.record_request(
-                tracer, status, route=route,
+                status, route=route, started=started,
                 duration_s=time.perf_counter() - started,
+                path=f"{method} {path}", ctx=ctx, start_unix=start_unix,
+                failed=failed,
             )
 
     def _wants_exposition(self):
@@ -797,13 +1073,13 @@ class _Handler(BaseHTTPRequestHandler):
         asks for ``text/plain`` without also accepting JSON wins.  The
         default stays JSON — existing clients see no change.
         """
-        query = self.path.split("?", 1)[1] if "?" in self.path else ""
+        query = self.target.split("?", 1)[1] if "?" in self.target else ""
         fmt = (parse_qs(query).get("format") or [""])[0].lower()
         if fmt in ("prometheus", "text", "exposition"):
             return True
         if fmt == "json":
             return False
-        accept = self.headers.get("Accept") or ""
+        accept = self.headers.get("accept") or ""
         return "text/plain" in accept and "application/json" not in accept
 
     def _route(self, method, path):
@@ -826,7 +1102,9 @@ class _Handler(BaseHTTPRequestHandler):
             if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
                 return self._send_json(*self.service.job_status(parts[2]))
             if len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "result":
-                return self._send_json(*self.service.job_result(parts[2]))
+                status, fields = self.service.job_result(parts[2])
+                return self._send(status, self.server.results.body(fields),
+                                  "application/json")
             if len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "events":
                 return self._send_json(*self.service.job_events(parts[2]))
             if parts == ["fleet", "v1", "workers"]:
@@ -861,15 +1139,6 @@ class _Handler(BaseHTTPRequestHandler):
                 )
         raise NotFoundError(f"no route {method} {path}")
 
-    def do_GET(self):
-        self._dispatch("GET")
-
-    def do_POST(self):
-        self._dispatch("POST")
-
-    def do_PATCH(self):
-        self._dispatch("PATCH")
-
 
 class _Parked:
     """A handler thread waiting for its next connection."""
@@ -900,6 +1169,8 @@ class PartitionHTTPServer(ThreadingHTTPServer):
         self._parked = []
         self._parked_lock = threading.Lock()
         self._closed = False
+        self._date = (0, "")  # (unix second, its Date header line)
+        self.results = _ResultText()
         super().__init__(address, _Handler)
 
     def process_request(self, request, client_address):
@@ -927,6 +1198,18 @@ class PartitionHTTPServer(ThreadingHTTPServer):
                 self._parked.append(parked)
             parked.wake.acquire()
             work, parked.work = parked.work, None
+
+    def finish_request(self, request, client_address):
+        _Handler(request, client_address, self).serve()
+
+    def date_header(self):
+        """The ``Date`` header line, formatted at most once per second."""
+        now = int(time.time())
+        second, line = self._date
+        if second != now:
+            line = f"Date: {formatdate(now, usegmt=True)}\r\n"
+            self._date = (now, line)
+        return line
 
     def handle_error(self, request, client_address):
         """Print a handler's traceback unless the client hung up."""

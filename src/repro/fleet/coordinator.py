@@ -378,10 +378,6 @@ class FleetCoordinator:
         with self._cond:
             return len(self._queue.pending)
 
-    def leased_count(self):
-        with self._cond:
-            return len(self._leases)
-
     def workers_snapshot(self):
         """Roster + queue state for ``/fleet/v1/workers`` and ``/healthz``."""
         now = time.time()

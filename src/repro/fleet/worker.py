@@ -286,40 +286,3 @@ class FleetWorker:
     def stop(self):
         self._stop.set()
 
-
-def main(argv=None):
-    """``python -m repro.fleet.worker`` — the standalone worker entry."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-fleet-worker",
-        description="pull-based execution node of the repro-gpp fleet",
-    )
-    parser.add_argument("--coordinator", required=True, metavar="URL",
-                        help="coordinator base URL, e.g. http://127.0.0.1:8731")
-    parser.add_argument("--id", default=None,
-                        help="worker id (default REPRO_FLEET_WORKER_ID, "
-                        "else <hostname>-<pid>)")
-    parser.add_argument("--max-inflight", type=int, default=None,
-                        help="jobs leased per round trip (default "
-                        "REPRO_FLEET_MAX_INFLIGHT, else 2)")
-    parser.add_argument("--poll", type=float, default=None,
-                        help="idle lease long-poll seconds (default "
-                        "REPRO_FLEET_POLL, else 2)")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log every lease and completion")
-    args = parser.parse_args(argv)
-    worker = FleetWorker(
-        args.coordinator, worker_id=args.id, max_inflight=args.max_inflight,
-        poll=args.poll, verbose=args.verbose,
-    )
-    print(f"repro-gpp fleet worker {worker.worker_id} ready", flush=True)
-    try:
-        worker.run()
-    except KeyboardInterrupt:
-        worker.stop()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

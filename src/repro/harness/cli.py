@@ -33,6 +33,7 @@ value is a path, the trace is written there.
 
 import argparse
 import os
+import signal
 import sys
 
 from repro import obs
@@ -568,6 +569,10 @@ def _cmd_worker(args):
         poll=args.poll,
         verbose=args.verbose,
     )
+    # Both signals stop the node, also when it inherited SIGINT ignored
+    # (a shell's background job), which Python would leave ignored.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
     print(f"repro-gpp fleet worker {worker.worker_id} ready", flush=True)
     try:
         worker.run()

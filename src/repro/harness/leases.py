@@ -10,7 +10,10 @@ one :class:`LeaseQueue`:
   (one persistent child process each, leasing one task at a time);
 * :class:`repro.fleet.coordinator.FleetCoordinator` wraps the queue
   with what HTTP workers need on top: a roster, heartbeats, a lease
-  reaper and wire grants.
+  reaper and wire grants;
+* :class:`repro.service.jobs.JobManager` admits service requests into
+  one and hands each grant (a job, or a packed group) to one
+  ``run_jobs`` call, which counts the attempts.
 
 A task moves ``pending`` → ``leased`` → ``done``, or back to
 ``pending`` after a failed attempt (behind its :func:`retry_delay`
@@ -27,7 +30,8 @@ uncharged and its tasks never pack again, so they fall back to
 per-job attempts.
 
 The queue is not synchronized: the runner drives it from one thread,
-and the coordinator calls it under its own condition variable.
+and the coordinator and the manager call it under their own condition
+variables.
 """
 
 import time

@@ -26,7 +26,8 @@ shares with the fleet coordinator:
   one task at a time; a slot that dies or passes its own per-job
   ``timeout`` is killed and respawned alone, so only its own job is
   charged.  Only jobs that exhaust their retries raise
-  :class:`JobError`.  See docs/robustness.md.
+  :class:`JobError`, which still carries the payloads of the jobs that
+  finished.  See docs/robustness.md.
 * **checkpoint/resume** — validated payloads stream to a JSONL
   checkpoint (:mod:`repro.harness.checkpoint`, content-keyed like the
   artifact cache) as they complete, so an interrupted run resumed with
@@ -224,12 +225,17 @@ class JobError(ReproError):
 
     ``failures`` carries every recorded :class:`JobFailure` of the run
     (including those of jobs that eventually recovered), so callers can
-    inspect the full history.
+    inspect the full history.  ``payloads`` holds the run's payloads in
+    job order, ``None`` for each job that exhausted its retries, and
+    ``errors`` maps each such job's index to a summary of its own
+    failures, so a caller can settle every job of the run on its own.
     """
 
-    def __init__(self, message, failures=()):
+    def __init__(self, message, failures=(), payloads=(), errors=None):
         super().__init__(message)
         self.failures = tuple(failures)
+        self.payloads = list(payloads)
+        self.errors = dict(errors or {})
 
 
 @dataclass
@@ -779,22 +785,19 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
         if task.snapshot is not None:
             merge_snapshot(task.snapshot)
 
+    payloads = [task.payload for task in tasks]
     if report.failed_jobs:
-        details = []
+        errors = {}
         for index in sorted(set(report.failed_jobs)):
             job_failures = [f for f in report.failures if f.index == index]
-            detail = (
-                f"job {index} ({job_list[index].circuit}): "
-                + ", ".join(f.kind for f in job_failures)
-            )
+            errors[index] = ", ".join(f.kind for f in job_failures)
             if job_failures and job_failures[-1].message:
-                detail += f" [{job_failures[-1].message}]"
-            details.append(detail)
+                errors[index] += f" [{job_failures[-1].message}]"
         raise JobError(
-            f"{len(set(report.failed_jobs))} of {len(job_list)} suite jobs failed "
-            f"after {retries} retries — " + "; ".join(details),
-            failures=report.failures,
+            f"{len(errors)} of {len(job_list)} suite jobs failed after {retries} "
+            "retries — " + "; ".join(
+                f"job {index} ({job_list[index].circuit}): {detail}"
+                for index, detail in errors.items()),
+            failures=report.failures, payloads=payloads, errors=errors,
         )
-
-    payloads = [task.payload for task in tasks]
     return (payloads, report) if return_report else payloads

@@ -3,10 +3,13 @@
 :class:`JobManager` owns everything between "request validated" and
 "payload available":
 
-* a bounded FIFO of admitted jobs — at capacity, :meth:`submit` raises
+* a bounded admission queue, a
+  :class:`~repro.harness.leases.LeaseQueue` of admitted jobs — at
+  capacity, :meth:`submit` raises
   :class:`~repro.service.errors.QueueFullError` and the server answers
   HTTP 429 with a ``Retry-After`` header (backpressure, never unbounded
-  memory);
+  memory); each admitted job's
+  :class:`~repro.harness.runner.SuiteJob` is built once, at admission;
 * in-flight dedup — a second request with the same content key while
   the first is queued/running attaches to the existing job instead of
   solving twice;
@@ -16,13 +19,16 @@
   :func:`repro.harness.runner.run_jobs` path (retries + failure
   taxonomy; ``isolation="process"`` additionally forces the slot pool
   for crash isolation and enforceable deadlines);
-* queue draining — under inline isolation, without deep tracing and
-  without a fault plan, a worker that finds no other worker idle takes
-  the queued jobs that share the head job's
-  :func:`~repro.harness.megabatch.job_pack_key` as one batch, which the
-  runner solves packed; solo, sweep and drained jobs share one
-  lifecycle (:meth:`JobManager._execute`).  A job alone in the queue
-  computes no pack key;
+* grant-time packing — under inline isolation, without deep tracing
+  and without a fault plan, a worker that finds no other worker idle
+  takes the queue's grant (:meth:`LeaseQueue.grant
+  <repro.harness.leases.LeaseQueue.grant>`): the head job plus the
+  queued jobs that share its pack key, which the runner solves packed.
+  Outcomes are per job: when the runner gives up on one job of a
+  batch, the others still finish ``done`` with their payloads, so
+  every job gets exactly ``retries + 1`` attempts, packed or not.
+  Solo, sweep and packed jobs share one lifecycle
+  (:meth:`JobManager._execute`);
 * best-effort cancellation: a queued job is dropped before it runs, a
   running job finishes (inline solves cannot be interrupted).
 
@@ -54,7 +60,6 @@ Observability (this PR's substrate; see docs/observability.md):
 """
 
 import contextlib
-import itertools
 import threading
 import time
 import uuid
@@ -62,8 +67,8 @@ from collections import deque
 
 from repro.harness import faults as fault_mod
 from repro.harness.checkpoint import payload_to_jsonable
-from repro.harness.megabatch import MAX_GROUP_SIZE, job_pack_key
-from repro.harness.runner import run_jobs
+from repro.harness.leases import LeaseQueue, LeaseTask
+from repro.harness.runner import JobError, run_jobs
 from repro.obs import OBS, TraceContext, capture, merge_snapshot
 from repro.service.api import request_to_job
 from repro.service.errors import (
@@ -86,9 +91,7 @@ class Job:
 
     __slots__ = ("id", "key", "request", "state", "payload", "error",
                  "submitted_at", "started_at", "finished_at", "cached",
-                 "cancel_requested", "done_event", "seq", "trace")
-
-    _seq = itertools.count()
+                 "done_event", "trace")
 
     def __init__(self, key, request):
         self.id = uuid.uuid4().hex[:16]
@@ -101,9 +104,7 @@ class Job:
         self.started_at = None
         self.finished_at = None
         self.cached = False
-        self.cancel_requested = False
         self.done_event = threading.Event()
-        self.seq = next(Job._seq)
         self.trace = None  # TraceContext wire dict of the job's span
 
     @property
@@ -130,6 +131,22 @@ class Job:
                 "request_id": self.trace.get("request"),
             }
         return out
+
+
+class _QueuedJob(LeaseTask):
+    """An admitted :class:`Job` in the manager's queue.
+
+    ``job`` is its :class:`~repro.harness.runner.SuiteJob`; a sweep has
+    none and never packs.
+    """
+
+    __slots__ = ("owner",)
+
+    def __init__(self, owner, suite_job):
+        super().__init__(suite_job, 0)
+        self.owner = owner
+        if suite_job is None:
+            self.pack_key = None
 
 
 class JobManager:
@@ -166,16 +183,17 @@ class JobManager:
         self.events = events          # EventLog (or None: no event emission)
         self.tracing = bool(tracing)  # deep per-request solver tracing
         self.trace_sink = trace_sink  # callable(snapshot) per traced job
-        # Whether a worker drains compatible queued jobs into one packed
-        # solve.  Inline only: the packed solve runs in the worker
-        # thread, which would silently bypass the crash isolation and
-        # enforceable deadlines process isolation buys.  Deep tracing
-        # also rules it out — a packed group has no single originating
-        # request to parent its spans under.
+        # Whether the queue packs compatible queued jobs into one solve.
+        # Inline only: the packed solve runs in the worker thread, which
+        # would silently bypass the crash isolation and enforceable
+        # deadlines process isolation buys.  Deep tracing also rules it
+        # out — a packed group has no single originating request to
+        # parent its spans under.
         self.megabatch = isolation == "inline" and not self.tracing
 
         self._cond = threading.Condition()
-        self._queue = deque()           # Jobs admitted but not yet running
+        # Admitted jobs not yet running; attempts are counted by run_jobs.
+        self._queue = LeaseQueue(retries=0, backoff=0.0)
         self._jobs = {}                 # id -> Job (bounded; see _evict)
         self._inflight = {}             # key -> queued/running Job
         self._finished_order = deque()  # ids of finished jobs, oldest first
@@ -245,7 +263,7 @@ class JobManager:
         """
         deadline = None if timeout is None else time.time() + timeout
         with self._cond:
-            while self._queue or any(
+            while self._queue.pending or any(
                 job.state in ("queued", "running")
                 for job in self._inflight.values()
             ):
@@ -263,14 +281,13 @@ class JobManager:
         (inline execution cannot be interrupted) but its worker exits
         right after.
         """
-        dropped = []
         with self._cond:
             self._running = False
-            while self._queue:
-                job = self._queue.popleft()
+            dropped = [task.owner for task in self._queue.pending]
+            self._queue.pending = []
+            for job in dropped:
                 self._finish_locked(job, "cancelled",
                                     error="server shutting down")
-                dropped.append(job)
             self._cond.notify_all()
         for job in dropped:
             self._emit(job, "cancelled", reason="server shutting down")
@@ -325,7 +342,7 @@ class JobManager:
                 deduped = existing
             else:
                 deduped = None
-                if len(self._queue) >= self.queue_size:
+                if len(self._queue.pending) >= self.queue_size:
                     self._inc_locked("service.queue.rejections")
                     rejection = QueueFullError(
                         f"job queue is full ({self.queue_size} queued); retry later",
@@ -333,13 +350,15 @@ class JobManager:
                     )
                 else:
                     rejection = None
+                    suite_job = (None if normalized.get("kind") == "sweep"
+                                 else request_to_job(normalized))
                     job = Job(key, normalized)
                     if ctx is not None:
                         job.trace = ctx.child("job").to_wire()
                     self._jobs[job.id] = job
                     self._inflight[key] = job
-                    self._queue.append(job)
-                    depth = len(self._queue)
+                    self._queue.submit(_QueuedJob(job, suite_job))
+                    depth = len(self._queue.pending)
                     self._inc_locked("service.jobs.submitted")
                     self._cond.notify()
         if deduped is not None:
@@ -367,11 +386,11 @@ class JobManager:
 
     def list_jobs(self):
         with self._cond:
-            return sorted(self._jobs.values(), key=lambda job: job.seq)
+            return list(self._jobs.values())
 
     def queue_depth(self):
         with self._cond:
-            return len(self._queue)
+            return len(self._queue.pending)
 
     def running_count(self):
         """Jobs currently executing on a worker thread."""
@@ -384,8 +403,8 @@ class JobManager:
         """Best-effort cancel; returns the job.
 
         A queued job is dropped and marked ``cancelled``.  A running job
-        only gets its flag set — inline execution cannot be interrupted
-        — and completes normally.  Finished jobs are left untouched.
+        completes normally — inline execution cannot be interrupted — and
+        finished jobs are left untouched.
         """
         cancelled = False
         with self._cond:
@@ -394,15 +413,11 @@ class JobManager:
             except KeyError:
                 raise NotFoundError(f"no such job {job_id!r}") from None
             if job.state == "queued":
-                try:
-                    self._queue.remove(job)
-                except ValueError:
-                    pass
+                self._queue.pending = [task for task in self._queue.pending
+                                       if task.owner is not job]
                 self._finish_locked(job, "cancelled", error="cancelled by client")
                 self._inc_locked("service.jobs.cancelled")
                 cancelled = True
-            elif job.state == "running":
-                job.cancel_requested = True
         if cancelled:
             self._emit(job, "cancelled", reason="cancelled by client")
         return job
@@ -432,41 +447,27 @@ class JobManager:
         return fault_mod.plan_from_env()
 
     def _next_batch(self):
-        """Pop the next job plus any queued jobs the runner can pack with it.
+        """Lease the queue's next grant: one job, or a packed group.
 
-        Without draining — process/fleet isolation, deep tracing, or a
-        fault plan active (chaos semantics are per job) — this is a
-        one-job batch.  So it is with the head job alone in the queue,
-        or while another worker is idle: that worker takes the next job,
-        and the two solve in parallel.  Otherwise the queue is drained
-        of jobs whose :func:`~repro.harness.megabatch.job_pack_key`
-        matches the head job's (at most ``MAX_GROUP_SIZE`` in all);
-        non-matching jobs keep their relative order at the front of the
-        queue.
+        The queue packs only under inline isolation without deep
+        tracing or a fault plan (chaos semantics are per job), and only
+        while no other worker is idle: an idle worker takes the next job
+        instead, and the two solve in parallel.
         """
-        drain = self.megabatch and self._fault_plan() is None
+        pack = self.megabatch and self._fault_plan() is None
         with self._cond:
-            while self._running and not self._queue:
+            while self._running and not self._queue.pending:
                 self._cond.wait(timeout=0.2)
             if not self._running:
                 return None
             self._busy += 1
-            batch = [self._queue.popleft()]
-            drain = drain and self._queue and self._busy >= self.workers
-            key = _pack_key(batch[0].request) if drain else None
-            if key is not None:
-                keep = deque()
-                while self._queue and len(batch) < MAX_GROUP_SIZE:
-                    candidate = self._queue.popleft()
-                    if _pack_key(candidate.request) == key:
-                        batch.append(candidate)
-                    else:
-                        keep.append(candidate)
-                self._queue.extendleft(reversed(keep))
+            self._queue.pack = pack
             now = time.time()
-            for job in batch:
-                job.state = "running"
-                job.started_at = now
+            batch = self._queue.grant(
+                now, limit=1 if self._busy < self.workers else None)
+            for task in batch:
+                task.owner.state = "running"
+                task.owner.started_at = now
             return batch
 
     def _worker_loop(self):
@@ -512,13 +513,15 @@ class JobManager:
     def _solve(self, batch):
         """The lifecycle's one kind-specific step.
 
-        Returns the batch's payloads, the phase histograms its time goes
-        to and extra ``solved`` event attributes.  Partition, plan and
-        ECO jobs run through one :func:`run_jobs` call, which packs a
-        drained group, or are dispatched to the fleet.  A sweep fans its
-        grid through :func:`~repro.harness.pareto.execute_sweep`.
+        Returns the batch's payloads (``None`` for a job the runner gave
+        up on), the failure messages of such jobs by batch position, the
+        phase histograms the solve time goes to and extra ``solved``
+        event attributes.  Partition, plan and ECO jobs run through one
+        :func:`run_jobs` call, which packs a granted group, or are
+        dispatched to the fleet.  A sweep fans its grid through
+        :func:`~repro.harness.pareto.execute_sweep`.
         """
-        request = batch[0].request
+        request = batch[0].owner.request
         run_kwargs = dict(timeout=self.timeout, retries=self.retries,
                           backoff=self.backoff, fault_plan=self._fault_plan(),
                           force_pool=self.isolation == "process")
@@ -535,15 +538,19 @@ class JobManager:
             if self.store is not None:
                 self._inc("service.store.writes", stats["solved"])
             solved = {"points": stats["points"], "cache_hits": stats["cache_hits"]}
-            return [payload], ("service.job.sweep_seconds",), solved
-        suite_jobs = [request_to_job(job.request) for job in batch]
+            return [payload], {}, ("service.job.sweep_seconds",), solved
+        errors = {}
         with OBS.trace.span("solve"):
             if self.isolation == "fleet":
-                payloads = [self._solve_fleet(suite_jobs[0], batch[0])]
+                payloads = [self._solve_fleet(batch[0].job, batch[0].owner)]
             else:
-                payloads = run_jobs(suite_jobs, jobs=1, **run_kwargs)
+                try:
+                    payloads = run_jobs([task.job for task in batch], jobs=1,
+                                        **run_kwargs)
+                except JobError as error:
+                    payloads, errors = error.payloads, error.errors
         if request.get("kind") != "eco":
-            return payloads, ("service.job.solve_seconds",), {}
+            return payloads, errors, ("service.job.solve_seconds",), {}
         # Edit-to-answer phase histogram + warm/cold split of the
         # incremental path (docs/eco.md).
         mode = ((payloads[0] or {}).get("eco") or {}).get("mode")
@@ -551,7 +558,8 @@ class JobManager:
             self._inc("service.eco.warm")
         elif mode == "cold":
             self._inc("service.eco.cold_fallbacks")
-        return payloads, ("service.job.solve_seconds", "service.job.eco_seconds"), {}
+        return (payloads, errors,
+                ("service.job.solve_seconds", "service.job.eco_seconds"), {})
 
     def _solve_fleet(self, suite_job, job):
         """Dispatch one job to the fleet and wait for its resolution.
@@ -588,63 +596,61 @@ class JobManager:
         return payload
 
     def _execute(self, batch):
-        """Run one job, or a drained group, through the job lifecycle.
+        """Run one granted job, or a packed group, through the lifecycle.
 
         Queue wait and ``leased``; then, in the capture scope and the
         ``service.job`` span, ``solving``, the solve step (:meth:`_solve`,
-        the only part that differs by kind), ``solved`` and each job's
-        ``finalize`` and ``store`` phases; then ``done``.  A solo job
-        whose lifecycle raises ends ``failed``; a group that raises
-        re-runs each of its jobs alone.
+        the only part that differs by kind), and per solved job
+        ``solved`` plus its ``finalize`` and ``store`` phases; then
+        ``done``.  Outcomes are per job: a job the runner gave up on, or
+        one whose lifecycle raised before it finished, ends ``failed``,
+        and the rest of its group still ends ``done``.
         """
-        for job in batch:
+        jobs = [task.owner for task in batch]
+        for job in jobs:
             queue_wait = max(0.0, job.started_at - job.submitted_at)
             self._observe("service.job.queue_wait_seconds", queue_wait)
             self._emit(job, "leased", queue_wait_s=round(queue_wait, 6))
-        head = batch[0]
-        packed = len(batch) > 1
+        head = jobs[0]
+        packed = len(jobs) > 1
         ctx = self._trace_ctx(head)
         origin = f"service/{head.id}" + ("/batch" if packed else "")
-        group = {"batched": True, "group_size": len(batch)} if packed else {}
+        group = {"batched": True, "group_size": len(jobs)} if packed else {}
+        results, errors = {}, {}   # batch position -> JSON payload / message
         try:
             with self._scope(ctx, origin), OBS.trace.span(
                     "service.job", ctx=ctx, job=head.id,
                     circuit=head.request.get("circuit")):
-                for job in batch:
+                for job in jobs:
                     self._emit(job, "solving", **group)
                 started = time.perf_counter()
-                payloads, histograms, solved = self._solve(batch)
+                payloads, errors, histograms, solved = self._solve(batch)
                 solve_s = time.perf_counter() - started
-                for job in batch:
+                for index, (job, payload) in enumerate(zip(jobs, payloads)):
+                    if index in errors:
+                        continue
                     for name in histograms:
                         self._observe(name, solve_s)
                     self._emit(job, "solved", solve_s=round(solve_s, 6), **solved)
-                results = [
-                    self._finalize(job, payload)
-                    for job, payload in zip(batch, payloads)
-                ]
+                    results[index] = self._finalize(job, payload)
         except Exception as error:
-            if packed:
-                self._inc("service.megabatch.fallbacks")
-                for job in batch:
-                    self._execute([job])
-                return
             # The worker must keep serving the queue whatever the solve
             # raised; an unexpected error keeps its type in the message.
             message = str(error) if isinstance(error, ReproError) else repr(error)
-            with self._cond:
-                self._finish_locked(head, "failed", error=message)
-                self._inc_locked("service.jobs.failed")
-            self._emit(head, "failed", error=message)
-            return
+            for index in range(len(jobs)):
+                if index not in results:
+                    errors.setdefault(index, message)
         if packed:
             self._inc("service.megabatch.groups")
-            self._inc("service.megabatch.packed_jobs", len(batch))
-        for job, payload in zip(batch, results):
+            self._inc("service.megabatch.packed_jobs", len(jobs))
+        for index, job in enumerate(jobs):
+            state = "done" if index in results else "failed"
+            attrs = {} if state == "done" else {"error": errors[index]}
             with self._cond:
-                self._finish_locked(job, "done", payload=payload)
-                self._inc_locked("service.jobs.completed")
-            self._emit(job, "done")
+                self._finish_locked(job, state, payload=results.get(index), **attrs)
+                self._inc_locked("service.jobs.completed" if state == "done"
+                                 else "service.jobs.failed")
+            self._emit(job, state, **attrs)
 
     def _finalize(self, job, payload):
         """One job's ``finalize`` and ``store`` phases; its JSON payload.
@@ -672,9 +678,3 @@ class JobManager:
         self._emit(job, "stored", store_s=round(store_s, 6))
         return jsonable
 
-
-def _pack_key(request):
-    """The runner's pack key of a queued request (``None``: runs solo)."""
-    if request.get("kind") != "partition":
-        return None
-    return job_pack_key(request_to_job(request))

@@ -350,6 +350,119 @@ def test_job_manager_megabatch_drains_compatible_queue(tmp_path):
         assert snapshot[f"service.job.{phase}_seconds"]["count"] == 5
 
 
+def _requests(count):
+    from repro.service.api import request_key, validate_request
+
+    normalized = [
+        validate_request({"circuit": "KSA4", "num_planes": 3, "seed": seed})
+        for seed in range(count)
+    ]
+    return [(request_key(request), request) for request in normalized]
+
+
+def test_failed_drained_group_settles_each_job_once(monkeypatch, tmp_path):
+    """A drained group whose packed solve raises, with job 1 always
+    failing: job 1 gets exactly retries + 1 attempts, its mates one
+    attempt each, and every job logs each lifecycle event once."""
+    import repro.harness.runner as runner_mod
+    from repro.obs.events import EventLog
+    from repro.service.api import request_to_job
+    from repro.service.jobs import JobManager
+    from repro.service.store import ResultStore
+
+    requests = _requests(3)
+    solo = [payload_to_jsonable(execute_job(request_to_job(request)))
+            for _key, request in requests]
+    calls = []
+
+    def flaky(job):
+        calls.append(job.seed)
+        if job.seed == 1:
+            raise RuntimeError(f"seed {job.seed} always fails")
+        return execute_job(job)
+
+    def broken(jobs):
+        raise RuntimeError("packed solve failed")
+
+    monkeypatch.setattr(runner_mod, "execute_job", flaky)
+    monkeypatch.setattr(megabatch_mod, "execute_group", broken)
+    events = EventLog()
+    mgr = JobManager(workers=1, queue_size=8, retries=1, backoff=0.0,
+                     events=events,
+                     store=ResultStore(root=str(tmp_path), enabled=True))
+    jobs = [mgr.submit(key, request)[0] for key, request in requests]
+    mgr.start()
+    try:
+        assert mgr.drain(timeout=120)
+    finally:
+        mgr.stop()
+    assert sorted(calls) == [0, 1, 1, 2]
+    assert [job.state for job in jobs] == ["done", "failed", "done"]
+    assert jobs[1].error == "crashed, crashed [seed 1 always fails]"
+    assert [jobs[0].payload, jobs[2].payload] == [solo[0], solo[2]]
+    sequences = [[event["event"] for event in events.for_job(job.id)]
+                 for job in jobs]
+    done = ["queued", "leased", "solving", "solved", "stored", "done"]
+    assert sequences == [done, ["queued", "leased", "solving", "failed"], done]
+
+
+def test_lone_queued_job_computes_no_pack_key(monkeypatch):
+    from repro.service.jobs import JobManager
+
+    def refuse(job):
+        raise AssertionError("a lone queued job computed a pack key")
+
+    monkeypatch.setattr(megabatch_mod, "job_pack_key", refuse)
+    mgr = JobManager(workers=1, retries=0)
+    (key, request), = _requests(1)
+    job, _ = mgr.submit(key, request)
+    mgr.start()
+    try:
+        assert job.done_event.wait(60)
+    finally:
+        mgr.stop()
+    assert job.state == "done"
+
+
+def test_store_hit_builds_no_suite_job(monkeypatch, tmp_path):
+    import repro.service.jobs as jobs_mod
+    from repro.service.api import request_to_job
+    from repro.service.store import ResultStore
+
+    (key, request), = _requests(1)
+    store = ResultStore(root=str(tmp_path), enabled=True)
+    store.put(key, execute_job(request_to_job(request)), meta={"request": request})
+
+    def refuse(normalized):
+        raise AssertionError("a store hit built a SuiteJob")
+
+    monkeypatch.setattr(jobs_mod, "request_to_job", refuse)
+    job, outcome = jobs_mod.JobManager(store=store).submit(key, request)
+    assert outcome == "cached" and job.state == "done"
+
+
+def test_cancel_behind_a_packable_head_cancels_only_that_job():
+    from repro.obs import MetricsRegistry
+    from repro.obs.events import EventLog
+    from repro.service.jobs import JobManager
+
+    metrics = MetricsRegistry()
+    events = EventLog()
+    mgr = JobManager(workers=1, retries=0, metrics=metrics, events=events)
+    jobs = [mgr.submit(key, request)[0] for key, request in _requests(3)]
+    assert mgr.cancel(jobs[1].id) is jobs[1]
+    assert mgr.queue_depth() == 2
+    mgr.start()
+    try:
+        assert mgr.drain(timeout=120)
+    finally:
+        mgr.stop()
+    assert [job.state for job in jobs] == ["done", "cancelled", "done"]
+    assert [event["event"] for event in events.for_job(jobs[1].id)] == [
+        "queued", "cancelled"]
+    assert metrics.as_dict()["service.megabatch.packed_jobs"]["value"] == 2
+
+
 def test_job_manager_megabatch_forced_off_for_process_isolation():
     from repro.service.jobs import JobManager
 

@@ -3,7 +3,8 @@
 Each test boots a real fleet-mode HTTP server (the coordinator) and one
 or more :class:`repro.fleet.worker.FleetWorker` nodes — in-thread for
 the cooperative paths, a real subprocess for the ``kill`` chaos test
-(``os._exit`` must not take pytest down with it).  The acceptance
+(``os._exit`` must not take pytest down with it) and the signal tests
+of ``repro-gpp worker``.  The acceptance
 contract throughout: payloads served through the fleet are bitwise
 identical to a local ``execute_job`` run, worker death included.
 """
@@ -11,6 +12,7 @@ identical to a local ``execute_job`` run, worker death included.
 import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -246,6 +248,44 @@ def test_subprocess_worker_kill_chaos_converges_bitwise(tmp_path):
         assert canonical(payload) == canonical(local_payload(request))
     assert counters["fleet.lease.expired"] >= 1
     assert counters["fleet.requeues"] >= 1
+
+
+#: Runs the CLI with SIGINT ignored, as a shell's background job starts.
+_SIGINT_IGNORED = (
+    "import runpy, signal; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+    "runpy.run_module('repro.harness.cli', run_name='__main__')"
+)
+
+
+@pytest.mark.parametrize("signum, entry", [
+    (signal.SIGINT, ["-m", "repro.harness.cli"]),
+    (signal.SIGINT, ["-c", _SIGINT_IGNORED]),
+    (signal.SIGTERM, ["-m", "repro.harness.cli"]),
+], ids=["sigint", "sigint-ignored", "sigterm"])
+def test_worker_command_stops_on_sigint_and_sigterm(tmp_path, signum, entry):
+    """``repro-gpp worker`` exits 0 when signalled mid long-poll, also
+    when it inherited SIGINT ignored."""
+    with fleet_server(tmp_path) as (server, _client):
+        env = dict(os.environ)
+        env.update({
+            "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src"),
+            "REPRO_CACHE_DIR": str(tmp_path),
+        })
+        worker = subprocess.Popen(
+            [sys.executable, *entry, "worker", "--coordinator", server.url,
+             "--id", "signalled", "--poll", "5"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        )
+        try:
+            assert b"ready" in worker.stdout.readline()
+            time.sleep(0.2)
+            worker.send_signal(signum)
+            assert worker.wait(timeout=10) == 0
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait()
+            worker.stdout.close()
 
 
 def test_worker_batch_lease_executes_multiple_jobs(tmp_path):

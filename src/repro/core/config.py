@@ -74,12 +74,14 @@ class PartitionConfig:
         capacity-aware rounding, so its labels differ from
         ``"batched"``.  ``"batched"`` stays the default on the measured
         data: in ``benchmarks/perf/BENCH_suite.json`` multilevel takes
-        0.7519 s on MULT8 (K=5) against 0.1576 s batched, because its
-        coarse solve runs 2243 iterations; the ledger
-        (``benchmarks/ledger/README.md``) finds a multilevel solve
-        costs 0.05 s on one seed and 0.7 s on the next, so its speed is
-        not predictable either.  And the paper's Tables I-III must stay
-        Algorithm 1, which only ``"batched"`` runs.
+        0.2634 s on MULT8 (K=5) against 0.0504 s batched, because its
+        coarse solve runs 1643 iterations, 1400 of them in one restart
+        stuck in a limit cycle until the coarse budget stops it
+        (:data:`~repro.core.multilevel.COARSE_ITERATION_BUDGET`); about
+        half the solves of the ledger's solve-mix circuits have such a
+        restart, so its speed is not predictable either
+        (docs/performance.md §3).  And the paper's Tables I-III must
+        stay Algorithm 1, which only ``"batched"`` runs.
     multilevel_coarsest_nodes:
         Coarsening floor for ``engine="multilevel"``; 0 (default) means
         the automatic ``max(40, 6 K)``.

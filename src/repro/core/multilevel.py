@@ -9,9 +9,13 @@ rather than a replacement for the paper's algorithm:
    edges keep multiplicity, so the coarse cost terms mirror the fine
    ones;
 2. **coarse solve** — every restart runs Algorithm 1 on the coarsest
-   problem through the batched fused kernel.  The coarse problem has
+   problem through the batched fused kernel, capped at
+   :data:`COARSE_ITERATION_BUDGET` iterations.  The coarse problem has
    tens of nodes instead of thousands, so these iterations are nearly
-   free;
+   free — but under the fixed step its rows move tens of times further
+   per iteration than fine rows, and a few percent of coarse restarts
+   fall into a limit cycle that never meets the margin test; the
+   budget stops those without cutting any restart that converges;
 3. **interpolate** — each restart's relaxed coarse ``w`` is prolongated
    to the fine level (every fine gate inherits its supernode's row;
    rows stay normalized by construction);
@@ -56,6 +60,24 @@ from repro.core.optimizer import (
 )
 from repro.obs import OBS
 from repro.utils.rng import make_rng, spawn_rngs
+
+
+#: Iteration cap of the coarse solve (the fine level keeps
+#: ``multilevel_fine_iterations``).  Under the fixed step a coarse
+#: restart either meets the margin test or falls into a limit cycle it
+#: never leaves (docs/algorithm.md, "The multilevel coarse solve").  Set
+#: from ``scripts/coarse_survey.py`` over the suite at K = 4..10: above
+#: the largest iteration count of any converging coarse restart, 1276
+#: over seeds 0-9 and 1341 over seeds 10-19.  Even, so a period-2 cycle
+#: stops in the phase the 2000-iteration default cap stopped it in.
+COARSE_ITERATION_BUDGET = 1400
+
+#: Version of the multilevel engine's answers; part of every service
+#: request key and of a multilevel job's checkpoint key.  Bump it when
+#: a multilevel answer can change, so stored ones are neither served
+#: nor resumed.  v2: the coarse solve stops at
+#: :data:`COARSE_ITERATION_BUDGET`.
+MULTILEVEL_VERSION = 2
 
 
 def default_coarsest_nodes(num_planes):
@@ -120,13 +142,14 @@ def minimize_assignment_multilevel(
     coarse_bias, coarse_area, coarse_edges, coarse_weights = levels[-1]
     coarse_pinned = {int(composed[gate]): plane for gate, plane in pinned.items()}
 
+    coarse_cap = min(config.max_iterations, COARSE_ITERATION_BUDGET)
     with OBS.trace.span("multilevel_coarse_solve", nodes=int(coarse_bias.shape[0])):
         coarse_traces = minimize_assignment_batch(
             num_planes,
             expand_weighted_edges(coarse_edges, coarse_weights),
             coarse_bias,
             coarse_area,
-            config,
+            config.with_(max_iterations=coarse_cap),
             rngs=rngs,
             pinned=coarse_pinned,
         )
@@ -163,6 +186,11 @@ def minimize_assignment_multilevel(
         OBS.metrics.counter("multilevel.fine_iterations").inc(
             sum(t.iterations for t in traces)
         )
+        if coarse_cap < config.max_iterations:
+            # Neither converged nor quarantined: stopped at the cap.
+            OBS.metrics.counter("multilevel.coarse_budget_stops").inc(
+                sum(not (t.converged or t.quarantined) for t in coarse_traces)
+            )
 
     for trace, coarse in zip(traces, coarse_traces):
         trace.coarse_iterations = coarse.iterations

@@ -43,7 +43,7 @@ import time
 
 from repro.harness import faults as fault_mod
 from repro.harness.checkpoint import payload_to_jsonable
-from repro.harness.runner import run_jobs
+from repro.harness.runner import JobError, run_jobs
 from repro.harness.wire import job_from_wire
 from repro.fleet.protocol import (
     resolve_max_inflight,
@@ -204,30 +204,33 @@ class FleetWorker:
         This is the fleet's mega-batch seam: the runner's inline drain
         packs compatible jobs of one lease round into one batched
         kernel invocation (per-job payloads stay bitwise-identical —
-        the runner's contract).  When the call fails, each failed job's
-        attempt is reported as is; the others, whose payloads the
-        failure discarded, run again through the per-job path.
+        the runner's contract).  When some jobs fail, every lease still
+        settles from that one call: a failed job reports its last
+        failure, the others the payloads the :class:`JobError` carries,
+        so no job is solved twice.  Only a lease round that does not
+        decode falls back to the per-job path.
         """
+        failed = {}
         try:
             suite_jobs = [job_from_wire(lease["job"]) for lease in leases]
             payloads = run_jobs(suite_jobs, jobs=1, retries=0)
-        except ReproError as error:
-            failed = {f.index: f for f in getattr(error, "failures", ())}
-            for index, lease in enumerate(leases):
-                if index in failed:
-                    self._job_index += 1
-                    self._complete_failure(lease, failed[index].kind,
-                                           failed[index].message)
-                else:
-                    self._execute_lease(lease)
+        except JobError as error:
+            payloads = error.payloads
+            failed = {f.index: f for f in error.failures}
+        except ReproError:
+            for lease in leases:
+                self._execute_lease(lease)
             return
-        self._job_index += len(leases)
-        for lease, payload in zip(leases, payloads):
-            self._post("/fleet/v1/complete", {
-                "worker": self.worker_id, "lease": lease["lease"],
-                "ok": True, "payload": payload_to_jsonable(payload),
-            })
-            self.jobs_executed += 1
+        for index, (lease, payload) in enumerate(zip(leases, payloads)):
+            self._job_index += 1
+            if payload is None:
+                self._complete_failure(lease, failed[index].kind, failed[index].message)
+            else:
+                self._post("/fleet/v1/complete", {
+                    "worker": self.worker_id, "lease": lease["lease"],
+                    "ok": True, "payload": payload_to_jsonable(payload),
+                })
+                self.jobs_executed += 1
             with self._active_lock:
                 self._active.pop(lease["lease"], None)
 

@@ -39,6 +39,7 @@ import os
 import numpy as np
 
 from repro.cache.store import canonical_jsonable
+from repro.core.multilevel import MULTILEVEL_VERSION
 from repro.metrics.bias import BiasMetrics
 from repro.metrics.area import AreaMetrics
 from repro.metrics.report import PartitionReport
@@ -53,7 +54,8 @@ def job_key(job):
     """Content key of one :class:`~repro.harness.runner.SuiteJob`.
 
     Covers every field that influences the job's payload plus the
-    checkpoint schema version, canonicalized exactly like a cache key
+    checkpoint schema version (and, for ``engine="multilevel"``, that
+    engine's answer version), canonicalized exactly like a cache key
     (numpy scalars in seeds/config collapse to their Python values).
     """
     config = job.config
@@ -78,6 +80,8 @@ def job_key(job):
     pinned = getattr(job, "pinned", None)
     if pinned:
         fields["pinned"] = pinned
+    if isinstance(config, dict) and config.get("engine") == "multilevel":
+        fields["multilevel"] = MULTILEVEL_VERSION
     prev_labels = getattr(job, "prev_labels", None)
     if prev_labels is not None:
         fields["prev_labels"] = list(prev_labels)

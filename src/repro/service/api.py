@@ -42,6 +42,7 @@ from repro import __version__
 from repro.cache.store import CACHE_SCHEMA_VERSION, canonical_jsonable
 from repro.circuits.suite import SUITE_NAMES
 from repro.core.config import ENGINES, PartitionConfig
+from repro.core.multilevel import MULTILEVEL_VERSION
 from repro.harness.checkpoint import CHECKPOINT_SCHEMA_VERSION
 from repro.netlist.diff import DIFF_FORMAT_VERSION, validate_diff
 from repro.netlist.serialize import NETLIST_FORMAT_VERSION, validate_netlist_dict
@@ -88,6 +89,7 @@ def schema_versions():
         "netlist_format": NETLIST_FORMAT_VERSION,
         "events_schema": EVENT_SCHEMA_VERSION,
         "diff_format": DIFF_FORMAT_VERSION,
+        "multilevel": MULTILEVEL_VERSION,
     }
 
 

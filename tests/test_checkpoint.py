@@ -50,6 +50,21 @@ def test_job_key_is_stable_and_content_addressed():
     assert job_key(_job()) != job_key(_job(config=FAST.with_(restarts=3)))
 
 
+def test_job_key_covers_the_multilevel_version_of_multilevel_jobs_only(monkeypatch):
+    """A multilevel row from before a change to that engine's answers is
+    re-run, not resumed; batched keys stay as they were."""
+    import repro.harness.checkpoint as checkpoint_mod
+
+    batched = _job()
+    multilevel = _job(config=FAST.with_(engine="multilevel"))
+    before = job_key(batched), job_key(multilevel)
+    monkeypatch.setattr(
+        checkpoint_mod, "MULTILEVEL_VERSION", checkpoint_mod.MULTILEVEL_VERSION + 1
+    )
+    assert job_key(batched) == before[0]
+    assert job_key(multilevel) != before[1]
+
+
 def test_job_key_canonicalizes_numpy_scalars():
     assert job_key(_job(seed=np.int64(11))) == job_key(_job(seed=11))
     assert job_key(_job(num_planes=np.int64(3))) == job_key(_job(num_planes=3))

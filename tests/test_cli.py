@@ -261,7 +261,7 @@ def test_version_json(capsys):
     assert set(versions) == {
         "package", "api", "trace_schema", "cache_schema",
         "checkpoint_schema", "netlist_format", "events_schema",
-        "diff_format",
+        "diff_format", "multilevel",
     }
 
 

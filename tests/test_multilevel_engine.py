@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import multilevel
 from repro.core.assignment import round_assignment, round_assignment_balanced
 from repro.core.coarsening import (
     coarsen_problem,
@@ -12,6 +13,7 @@ from repro.core.coarsening import (
     project_edges,
 )
 from repro.core.config import PartitionConfig
+from repro.core.multilevel import COARSE_ITERATION_BUDGET
 from repro.core.partitioner import partition
 from repro.utils.errors import PartitionError
 
@@ -209,3 +211,66 @@ def test_multilevel_quality_not_degenerate(mixed_netlist):
     # slack=0.02 bounds the relative compensation current tightly; leave
     # headroom for the empty-plane repair on this tiny netlist.
     assert report.i_comp_pct < 25.0
+
+
+# ----------------------------------------------------------------------
+# The coarse iteration budget
+# ----------------------------------------------------------------------
+def _mult8_panel(config=PartitionConfig(engine="multilevel")):
+    """MULT8, K=4, seed 1: the multilevel solve of the ledger's panel."""
+    from repro.circuits.suite import build_circuit
+
+    return partition(build_circuit("MULT8"), 4, config=config, seed=1)
+
+
+def test_budget_stops_the_panel_case_limit_cycle_only():
+    """Restart 1 cycles with period 2 and stops at the budget; the three
+    converging restarts keep their counts."""
+    result = _mult8_panel()
+    stats = result.restart_stats
+    assert [s["coarse_iterations"] for s in stats] == [69, COARSE_ITERATION_BUDGET, 37, 65]
+    assert [s["coarse_converged"] for s in stats] == [True, False, True, True]
+
+
+def test_budget_keeps_the_panel_case_answer(monkeypatch):
+    """An even budget stops the period-2 cycle in the phase the old
+    2000-iteration cap did, so the answer is bitwise unchanged."""
+    budgeted = _mult8_panel()
+    monkeypatch.setattr(multilevel, "COARSE_ITERATION_BUDGET", 2000)
+    capped = _mult8_panel()
+    assert [s["coarse_iterations"] for s in capped.restart_stats] == [69, 2000, 37, 65]
+    assert np.array_equal(budgeted.labels, capped.labels)
+    assert budgeted.restart_costs == capped.restart_costs
+
+
+def test_budget_stops_are_counted_only_under_capture():
+    from repro import obs
+    from repro.obs import OBS
+
+    before = OBS.metrics.as_dict()
+    with obs.capture() as scope:
+        _mult8_panel()
+    counters = scope.metrics.as_dict()
+    assert counters["multilevel.coarse_budget_stops"]["value"] == 1
+    assert counters["multilevel.coarse_iterations"]["value"] == 171 + COARSE_ITERATION_BUDGET
+    assert OBS.metrics.as_dict() == before
+    with obs.capture() as scope:
+        _mult8_panel(PartitionConfig(engine="multilevel", max_iterations=COARSE_ITERATION_BUDGET))
+    # The config's own cap binds: no budget stop to count.
+    assert "multilevel.coarse_budget_stops" not in scope.metrics.as_dict()
+
+
+@pytest.mark.parametrize("engine", ["batched", "multilevel"])
+def test_a_slow_batched_solve_still_runs_to_convergence(engine):
+    """The budget bounds the coarse solve only: a batched solve (and the
+    multilevel fall-through on a small circuit) whose slowest restart
+    needs more than the budget converges as before."""
+    from repro.circuits.suite import build_circuit
+
+    config = PartitionConfig(engine=engine, margin=1e-7)
+    result = partition(build_circuit("KSA4"), 4, config=config, seed=0)
+    stats = result.restart_stats
+    assert [s["iterations"] for s in stats] == [172, 119, 380, 1901]
+    assert max(s["iterations"] for s in stats) > COARSE_ITERATION_BUDGET
+    assert all(s["converged"] for s in stats)
+    assert "coarse_iterations" not in stats[0]

@@ -136,12 +136,20 @@ def test_request_key_covers_schema_versions(monkeypatch):
     assert request_key(validate_request(_req())) != before
 
 
+def test_request_key_covers_the_multilevel_version(monkeypatch):
+    before = request_key(validate_request(_req(engine="multilevel")))
+    import repro.service.api as api
+
+    monkeypatch.setattr(api, "MULTILEVEL_VERSION", api.MULTILEVEL_VERSION + 1)
+    assert request_key(validate_request(_req(engine="multilevel"))) != before
+
+
 def test_schema_versions_fields():
     versions = schema_versions()
     assert set(versions) == {
         "package", "api", "trace_schema", "cache_schema",
         "checkpoint_schema", "netlist_format", "events_schema",
-        "diff_format",
+        "diff_format", "multilevel",
     }
 
 

@@ -363,3 +363,44 @@ def test_solved_fleet_job_is_stored_once(tmp_path, monkeypatch):
     from repro.service.api import request_key
 
     assert puts == [request_key(validate_request(dict(REQ)))]
+
+
+def test_failed_batch_lease_settles_each_lease_from_one_run(monkeypatch):
+    """Three KSA4 K=3 leases whose packed solve raises, seed 1 always
+    failing: the worker settles every lease from its one ``run_jobs``
+    call — seed 1 reports its failure, seeds 0 and 2 the payloads the
+    ``JobError`` carries — so no job is solved twice."""
+    import repro.harness.megabatch as megabatch_mod
+    import repro.harness.runner as runner_mod
+    from repro.harness.wire import job_to_wire
+
+    requests = [validate_request(dict(REQ, seed=seed)) for seed in range(3)]
+    jobs = [request_to_job(request) for request in requests]
+    solo = [payload_to_jsonable(execute_job(job)) for job in jobs]
+    calls = []
+
+    def flaky(job):
+        calls.append(job.seed)
+        if job.seed == 1:
+            raise RuntimeError("seed 1 always fails")
+        return execute_job(job)
+
+    def broken(group):
+        raise RuntimeError("packed solve failed")
+
+    monkeypatch.setattr(runner_mod, "execute_job", flaky)
+    monkeypatch.setattr(megabatch_mod, "execute_group", broken)
+    worker = FleetWorker("http://127.0.0.1:9", worker_id="batcher")
+    posts = []
+    monkeypatch.setattr(worker, "_post", lambda path, body: posts.append(body) or {})
+    worker._execute_batch(
+        [{"lease": f"lease-{i}", "job": job_to_wire(job)} for i, job in enumerate(jobs)]
+    )
+    assert calls == [0, 1, 2]
+    assert [post["lease"] for post in posts] == ["lease-0", "lease-1", "lease-2"]
+    assert [post["ok"] for post in posts] == [True, False, True]
+    assert (posts[1]["kind"], posts[1]["message"]) == ("crashed", "seed 1 always fails")
+    assert [canonical(posts[0]["payload"]), canonical(posts[2]["payload"])] == [
+        canonical(solo[0]), canonical(solo[2])
+    ]
+    assert (worker.jobs_executed, worker.jobs_failed) == (2, 1)

@@ -6,9 +6,9 @@ that claim is to *build* the classic machinery — the Karypis-Kumar
 multilevel scheme — adapted only in its objective:
 
 1. **coarsen** — heavy-edge matching collapses strongly connected gate
-   pairs into supernodes (bias and area add; parallel edges keep their
-   multiplicity, preserving the F1 term), repeated until the graph is
-   small;
+   pairs into supernodes (bias and area add; parallel edges stay
+   separate unit rows, preserving the F1 term), repeated until the
+   graph is small;
 2. **initial partition** — the coarsest graph is partitioned with the
    paper's own gradient descent (it is tiny, so this is cheap and keeps
    the comparison within-family);
@@ -77,12 +77,10 @@ def multilevel_partition(netlist, num_planes, seed=None, config=None, coarsest_n
         OBS.metrics.counter("baseline.multilevel.coarsen_levels").inc(len(maps))
 
     # ---- initial partition on the coarsest level --------------------
-    coarse_bias, coarse_area, coarse_edges, coarse_weights = levels[-1]
-    # expand weighted edges to repeated rows so F1 keeps multiplicity
-    repeated = np.repeat(coarse_edges, coarse_weights.astype(int), axis=0) if coarse_edges.size else coarse_edges
+    coarse_bias, coarse_area, coarse_edges = levels[-1]
     with OBS.trace.span("multilevel_initial", nodes=int(coarse_bias.shape[0])):
         trace = minimize_assignment_batch(
-            num_planes, repeated, coarse_bias, coarse_area, config, rngs=[rng]
+            num_planes, coarse_edges, coarse_bias, coarse_area, config, rngs=[rng]
         )[0]
         labels = round_assignment(trace.w)
 
@@ -91,13 +89,8 @@ def multilevel_partition(netlist, num_planes, seed=None, config=None, coarsest_n
         for level_index in range(len(maps) - 1, -1, -1):
             fine_to_coarse = maps[level_index]
             labels = labels[fine_to_coarse]
-            fine_bias, fine_area, fine_edges, fine_weights = levels[level_index]
-            expanded = (
-                np.repeat(fine_edges, fine_weights.astype(int), axis=0)
-                if fine_edges.size
-                else fine_edges
-            )
-            state = _IncrementalCost(labels, num_planes, expanded, fine_bias, fine_area, config)
+            fine_bias, fine_area, fine_edges = levels[level_index]
+            state = _IncrementalCost(labels, num_planes, fine_edges, fine_bias, fine_area, config)
             greedy_improve(state, num_planes, max_passes=refine_passes)
             labels = state.labels
 

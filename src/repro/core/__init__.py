@@ -20,7 +20,7 @@ from repro.core.assignment import (
 from repro.core.cost import CostTerms, cost_terms, total_cost, integer_cost
 from repro.core.gradients import cost_gradient
 from repro.core.kernel import BatchedCostTerms, EdgeIncidence, FusedKernel
-from repro.core.megabatch import SolveSpec, partition_packed
+from repro.core.megabatch import partition_packed
 from repro.core.optimizer import (
     GradientDescentTrace,
     minimize_assignment_batch,
@@ -44,7 +44,6 @@ __all__ = [
     "BatchedCostTerms",
     "EdgeIncidence",
     "FusedKernel",
-    "SolveSpec",
     "partition_packed",
     "GradientDescentTrace",
     "minimize_assignment_batch",

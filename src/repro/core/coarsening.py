@@ -13,29 +13,31 @@ Two consumers share this module:
   down as a warm start for the paper's own descent.
 
 Bias and area add under merging; parallel edges keep their multiplicity
-(as weights), so the F1 interconnection term of the coarse problem
-counts exactly the fine-level connections it represents.
+as separate unit rows, so the F1 interconnection term of the coarse
+problem counts exactly the fine-level connections it represents, and a
+pair's matching weight is the number of rows joining it.
 """
 
 import numpy as np
 
 
-def heavy_edge_matching(num_nodes, edges, weights, rng, frozen=None):
+def heavy_edge_matching(num_nodes, edges, rng, frozen=None):
     """One coarsening step: match each node with its heaviest unmatched
-    neighbor.  Returns ``(coarse_count, fine_to_coarse)``.
+    neighbor, a pair's weight being the number of edge rows joining it.
+    Returns ``(coarse_count, fine_to_coarse)``.
 
     ``frozen`` nodes (e.g. gates pinned to a plane) never match — they
     survive as singleton supernodes so constraints stay well-defined on
     every level.
     """
     order = rng.permutation(num_nodes)
-    # neighbor weights
+    # parallel rows per neighbor pair
     neighbor_weight = [dict() for _ in range(num_nodes)]
-    for (u, v), weight in zip(edges, weights):
+    for u, v in edges:
         if u == v:
             continue
-        neighbor_weight[u][v] = neighbor_weight[u].get(v, 0.0) + weight
-        neighbor_weight[v][u] = neighbor_weight[v].get(u, 0.0) + weight
+        neighbor_weight[u][v] = neighbor_weight[u].get(v, 0) + 1
+        neighbor_weight[v][u] = neighbor_weight[v].get(u, 0) + 1
 
     match = np.full(num_nodes, -1, dtype=np.intp)
     if frozen is not None:
@@ -44,7 +46,7 @@ def heavy_edge_matching(num_nodes, edges, weights, rng, frozen=None):
     for node in order:
         if match[node] != -1:
             continue
-        best, best_weight = -1, 0.0
+        best, best_weight = -1, 0
         for neighbor, weight in neighbor_weight[node].items():
             if match[neighbor] == -1 and weight > best_weight:
                 best, best_weight = neighbor, weight
@@ -64,41 +66,39 @@ def heavy_edge_matching(num_nodes, edges, weights, rng, frozen=None):
     return next_id, fine_to_coarse
 
 
-def project_edges(edges, weights, fine_to_coarse):
-    """Map edges through a coarsening; drop self-loops, keep multiplicity."""
+def project_edges(edges, fine_to_coarse):
+    """Map edges through a coarsening; drop self-loops, keep parallel rows."""
     if edges.shape[0] == 0:
-        return edges, weights
+        return edges
     mapped = fine_to_coarse[edges]
     keep = mapped[:, 0] != mapped[:, 1]
-    return mapped[keep], weights[keep]
+    return mapped[keep]
 
 
 def coarsen_problem(num_nodes, edges, bias, area, coarsest_nodes, rng, frozen=None):
     """Repeated heavy-edge matching down to ``coarsest_nodes`` nodes.
 
     Returns ``(levels, maps)`` where ``levels[i]`` is the tuple
-    ``(bias, area, edges, weights)`` of level ``i`` (level 0 = the input
-    problem, unit edge weights) and ``maps[i]`` sends level-``i`` node
-    ids to level ``i+1``.  Stops early when matching makes no progress
+    ``(bias, area, edges)`` of level ``i`` (level 0 = the input
+    problem) and ``maps[i]`` sends level-``i`` node ids to level
+    ``i+1``.  Stops early when matching makes no progress
     (no edges left to contract).
     """
     edges = np.asarray(edges, dtype=np.intp)
-    weights = np.ones(edges.shape[0])
-    levels = [(np.asarray(bias, dtype=float), np.asarray(area, dtype=float), edges, weights)]
+    levels = [(np.asarray(bias, dtype=float), np.asarray(area, dtype=float), edges)]
     maps = []
     frozen = set() if frozen is None else set(int(f) for f in frozen)
     while num_nodes > coarsest_nodes:
-        level_bias, level_area, level_edges, level_weights = levels[-1]
+        level_bias, level_area, level_edges = levels[-1]
         coarse_count, fine_to_coarse = heavy_edge_matching(
-            num_nodes, level_edges, level_weights, rng, frozen=frozen or None
+            num_nodes, level_edges, rng, frozen=frozen or None
         )
         if coarse_count >= num_nodes:  # no matching progress (no edges left)
             break
         coarse_bias = np.bincount(fine_to_coarse, weights=level_bias, minlength=coarse_count)
         coarse_area = np.bincount(fine_to_coarse, weights=level_area, minlength=coarse_count)
-        coarse_edges, coarse_weights = project_edges(level_edges, level_weights, fine_to_coarse)
         maps.append(fine_to_coarse)
-        levels.append((coarse_bias, coarse_area, coarse_edges, coarse_weights))
+        levels.append((coarse_bias, coarse_area, project_edges(level_edges, fine_to_coarse)))
         frozen = {int(fine_to_coarse[f]) for f in frozen}
         num_nodes = coarse_count
     return levels, maps
@@ -111,9 +111,3 @@ def compose_maps(maps):
         composed = fine_to_coarse[composed]
     return composed
 
-
-def expand_weighted_edges(edges, weights):
-    """Weighted edges as repeated rows, so F1 keeps edge multiplicity."""
-    if edges.shape[0] == 0:
-        return edges
-    return np.repeat(edges, np.asarray(weights).astype(int), axis=0)

@@ -42,7 +42,7 @@ from repro.core.assignment import random_assignment, round_assignment
 from repro.core.config import PartitionConfig
 from repro.core.cost import integer_cost
 from repro.core.optimizer import minimize_assignment_batch
-from repro.core.partitioner import PartitionResult, partition
+from repro.core.partitioner import PartitionResult, partition, resolve_pinned
 from repro.netlist.graph import adjacency_lists, bounded_bfs_levels
 from repro.obs import OBS
 from repro.utils.errors import PartitionError
@@ -261,14 +261,7 @@ def incremental_partition(
             f"but K={num_planes}"
         )
 
-    pinned_user = {}
-    for gate_ref, plane in (pinned or {}).items():
-        plane = int(plane)
-        if not 0 <= plane < num_planes:
-            raise PartitionError(
-                f"pinned plane {plane} out of range for K={num_planes}"
-            )
-        pinned_user[netlist.gate(gate_ref).index] = plane
+    pinned_user = resolve_pinned(netlist, num_planes, pinned)
 
     touched_idx = _resolve_touched(netlist, touched)
     touched_idx.update(int(i) for i in np.flatnonzero(prev < 0))

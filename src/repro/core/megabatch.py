@@ -2,14 +2,16 @@
 
 The batched engine already amortizes kernel overhead across the
 restarts of *one* :func:`~repro.core.partitioner.partition` call.  This
-module extends the same trick across *jobs*: when several queued
-partition requests share the identical problem (same netlist arrays,
-plane count, pinned constraints and solver config up to ``restarts``
-and ``seed``), their restarts are concatenated into one ``(ΣR, G, K)``
-stack and descended together through a single
+module extends the same trick across *jobs*: :func:`partition_packed`
+takes one problem (netlist, plane count, pinned gates) and the
+``(config, seed)`` runs of several queued jobs whose configs differ at
+most in ``restarts`` and ``seed``; their restarts are concatenated into
+one ``(ΣR, G, K)`` stack and descended together through a single
 :func:`~repro.core.optimizer.minimize_assignment_batch` call — one
 rank-4 gemm per iteration for the whole group instead of one solve per
-job.
+job.  One problem per call means a group can never mix netlists, plane
+counts or pins; :func:`comparable_config` is the one statement of which
+config fields may differ.
 
 Bitwise-identity argument (the correctness gate)
 ------------------------------------------------
@@ -39,13 +41,9 @@ Every piece a solo solve depends on is reproduced exactly:
 restart counts and single-job groups.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.core.config import PartitionConfig
 from repro.core.optimizer import minimize_assignment_batch
-from repro.core.partitioner import finalize_traces, partition
+from repro.core.partitioner import finalize_traces, resolve_pinned
 from repro.obs import OBS
 from repro.utils.errors import PartitionError
 from repro.utils.rng import make_rng, spawn_rngs
@@ -55,64 +53,34 @@ from repro.utils.rng import make_rng, spawn_rngs
 _PACK_FREE_FIELDS = ("restarts", "seed")
 
 
-@dataclass(frozen=True)
-class SolveSpec:
-    """One job's partition request, as the packer sees it.
-
-    ``netlist`` must be the *same problem* for every spec in a group
-    (the packer verifies the arrays); ``config``/``seed``/``pinned``
-    follow :func:`~repro.core.partitioner.partition` semantics —
-    ``seed=None`` falls back to ``config.seed``, pinned keys may be
-    gate names, indices or Gate objects.
-    """
-
-    netlist: object
-    num_planes: int
-    config: PartitionConfig = None
-    seed: object = None
-    pinned: dict = None
-
-    def resolved_config(self):
-        return self.config if self.config is not None else PartitionConfig()
+def comparable_config(config):
+    """``config`` (default when ``None``) with the pack-free fields reset
+    to their defaults: two solves of one problem pack together exactly
+    when these are equal."""
+    default = PartitionConfig()
+    config = default if config is None else config
+    return config.with_(**{name: getattr(default, name) for name in _PACK_FREE_FIELDS})
 
 
-def _comparable_config(config):
-    """The config with pack-free fields neutralized, for equality checks."""
-    return config.with_(**{name: getattr(PartitionConfig(), name) for name in _PACK_FREE_FIELDS})
+def partition_packed(netlist, num_planes, runs, pinned=None):
+    """Solve several runs of one partition problem as one batch.
 
-
-def _resolve_pinned(netlist, num_planes, pinned):
-    """Gate-ref pinned mapping -> index mapping (partition's semantics)."""
-    pinned_index = {}
-    for gate_ref, plane in (pinned or {}).items():
-        plane = int(plane)
-        if not 0 <= plane < num_planes:
-            raise PartitionError(f"pinned plane {plane} out of range for K={num_planes}")
-        pinned_index[netlist.gate(gate_ref).index] = plane
-    return pinned_index
-
-
-def partition_packed(specs):
-    """Solve a compatible group of :class:`SolveSpec` jobs as one batch.
-
+    ``runs`` lists ``(config, seed)`` pairs, one per job, with
+    :func:`~repro.core.partitioner.partition` semantics (``config=None``
+    is the default config, ``seed=None`` falls back to ``config.seed``);
+    ``netlist``, ``num_planes`` and ``pinned`` are shared by every run.
     Returns one :class:`~repro.core.partitioner.PartitionResult` per
-    spec, in order, each bitwise-identical to what a solo
-    :func:`~repro.core.partitioner.partition` call on that spec would
-    produce.  Raises :class:`PartitionError` when the specs are not
-    actually compatible (different problem arrays, plane counts, pinned
-    sets, or configs differing beyond ``restarts``/``seed``) or when a
-    spec's engine is not ``"batched"`` — callers group jobs with
-    :func:`repro.harness.megabatch.job_pack_key`, which guarantees all
-    of this.
+    run, in order, each bitwise-identical to the solo
+    ``partition(netlist, num_planes, config, seed, pinned)`` call.
+    Raises :class:`PartitionError` when the configs differ beyond
+    ``restarts``/``seed``, the engine is not ``"batched"`` or K < 2 —
+    callers group jobs with :func:`repro.harness.megabatch.job_pack_key`,
+    which rules all of this out.
     """
-    specs = list(specs)
-    if not specs:
+    runs = [(config if config is not None else PartitionConfig(), seed) for config, seed in runs]
+    if not runs:
         return []
-
-    first = specs[0]
-    netlist = first.netlist
-    num_planes = int(first.num_planes)
-    base_config = first.resolved_config()
+    base_config = runs[0][0]
     if base_config.engine != "batched":
         raise PartitionError(
             f"mega-batch packing requires engine='batched', got {base_config.engine!r}"
@@ -121,53 +89,35 @@ def partition_packed(specs):
         # K == 1 is the trivial partition; packing buys nothing and the
         # solo path special-cases it before any solve.
         raise PartitionError("mega-batch packing requires num_planes >= 2")
+    base_comparable = comparable_config(base_config)
+    if any(comparable_config(config) != base_comparable for config, _seed in runs[1:]):
+        raise PartitionError("mega-batch group mixes solver configs (beyond restarts/seed)")
 
     edges = netlist.edge_array()
     bias = netlist.bias_vector_ma()
     area = netlist.area_vector_um2()
-    pinned_index = _resolve_pinned(netlist, num_planes, first.pinned)
-    base_comparable = _comparable_config(base_config)
-
-    # Verify group compatibility: cheap array comparisons, loud failure.
-    for spec in specs[1:]:
-        if int(spec.num_planes) != num_planes:
-            raise PartitionError("mega-batch group mixes plane counts")
-        if _comparable_config(spec.resolved_config()) != base_comparable:
-            raise PartitionError(
-                "mega-batch group mixes solver configs (beyond restarts/seed)"
-            )
-        if _resolve_pinned(spec.netlist, num_planes, spec.pinned) != pinned_index:
-            raise PartitionError("mega-batch group mixes pinned constraints")
-        if spec.netlist is not netlist and not (
-            np.array_equal(spec.netlist.edge_array(), edges)
-            and np.array_equal(spec.netlist.bias_vector_ma(), bias)
-            and np.array_equal(spec.netlist.area_vector_um2(), area)
-        ):
-            raise PartitionError("mega-batch group mixes problem arrays")
+    pinned_index = resolve_pinned(netlist, num_planes, pinned)
 
     # Concatenate each job's restart streams exactly as its solo
     # partition() call would spawn them, tagging every restart with its
     # job-local index so reseed recovery stays per-job deterministic.
     streams = []
     tags = []
-    counts = []
-    for spec in specs:
-        config = spec.resolved_config()
-        seed = config.seed if spec.seed is None else spec.seed
+    for config, seed in runs:
+        seed = config.seed if seed is None else seed
         streams.extend(spawn_rngs(make_rng(seed), config.restarts))
         tags.extend(range(config.restarts))
-        counts.append(config.restarts)
 
     with OBS.trace.span(
         "megabatch_solve",
         circuit=netlist.name,
         planes=num_planes,
-        jobs=len(specs),
+        jobs=len(runs),
         restarts=len(streams),
     ):
         if OBS.enabled:
             OBS.metrics.counter("megabatch.groups").inc()
-            OBS.metrics.counter("megabatch.packed_jobs").inc(len(specs))
+            OBS.metrics.counter("megabatch.packed_jobs").inc(len(runs))
             OBS.metrics.counter("megabatch.packed_restarts").inc(len(streams))
         traces = minimize_assignment_batch(
             num_planes,
@@ -184,30 +134,12 @@ def partition_packed(specs):
     # scoring/repair tail as a solo partition() call.
     results = []
     offset = 0
-    for spec, count in zip(specs, counts):
-        job_traces = traces[offset:offset + count]
-        offset += count
+    for config, _seed in runs:
+        job_traces = traces[offset:offset + config.restarts]
+        offset += config.restarts
         results.append(
             finalize_traces(
-                spec.netlist,
-                num_planes,
-                spec.resolved_config(),
-                job_traces,
-                dict(pinned_index),
-                edges,
-                bias,
-                area,
+                netlist, num_planes, config, job_traces, dict(pinned_index), edges, bias, area
             )
         )
     return results
-
-
-def partition_solo(spec):
-    """The unpacked reference path for one spec (used by benchmarks)."""
-    return partition(
-        spec.netlist,
-        spec.num_planes,
-        config=spec.config,
-        seed=spec.seed,
-        pinned=spec.pinned,
-    )

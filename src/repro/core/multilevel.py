@@ -6,8 +6,8 @@ rather than a replacement for the paper's algorithm:
 
 1. **coarsen** — heavy-edge matching (:mod:`repro.core.coarsening`)
    collapses strongly connected gate pairs; bias/area add, parallel
-   edges keep multiplicity, so the coarse cost terms mirror the fine
-   ones;
+   edges stay separate unit rows, so the coarse cost terms mirror the
+   fine ones;
 2. **coarse solve** — every restart runs Algorithm 1 on the coarsest
    problem through the batched fused kernel, capped at
    :data:`COARSE_ITERATION_BUDGET` iterations.  The coarse problem has
@@ -51,7 +51,7 @@ sub-floor circuits, e.g. KSA4 in BENCH_suite.json).
 
 import numpy as np
 
-from repro.core.coarsening import compose_maps, coarsen_problem, expand_weighted_edges
+from repro.core.coarsening import compose_maps, coarsen_problem
 from repro.core.optimizer import (
     _pin_index,
     _reseed_assignment,
@@ -139,14 +139,14 @@ def minimize_assignment_multilevel(
         )
 
     composed = compose_maps(maps)
-    coarse_bias, coarse_area, coarse_edges, coarse_weights = levels[-1]
+    coarse_bias, coarse_area, coarse_edges = levels[-1]
     coarse_pinned = {int(composed[gate]): plane for gate, plane in pinned.items()}
 
     coarse_cap = min(config.max_iterations, COARSE_ITERATION_BUDGET)
     with OBS.trace.span("multilevel_coarse_solve", nodes=int(coarse_bias.shape[0])):
         coarse_traces = minimize_assignment_batch(
             num_planes,
-            expand_weighted_edges(coarse_edges, coarse_weights),
+            coarse_edges,
             coarse_bias,
             coarse_area,
             config.with_(max_iterations=coarse_cap),

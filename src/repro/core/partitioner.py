@@ -101,6 +101,18 @@ class PartitionResult:
         )
 
 
+def resolve_pinned(netlist, num_planes, pinned):
+    """``{gate name/index/Gate: plane}`` -> ``{gate index: plane}``,
+    rejecting planes outside ``0..K-1``."""
+    pinned_index = {}
+    for gate_ref, plane in (pinned or {}).items():
+        plane = int(plane)
+        if not 0 <= plane < num_planes:
+            raise PartitionError(f"pinned plane {plane} out of range for K={num_planes}")
+        pinned_index[netlist.gate(gate_ref).index] = plane
+    return pinned_index
+
+
 def _repair_empty_planes(labels, num_planes, netlist, pinned=None):
     """Move low-connectivity gates from the heaviest plane into empty ones.
 
@@ -180,12 +192,7 @@ def partition(netlist, num_planes, config=None, seed=None, pinned=None):
         raise PartitionError(
             f"cannot split {netlist.num_gates} gates into {num_planes} planes"
         )
-    pinned_index = {}
-    for gate_ref, plane in (pinned or {}).items():
-        plane = int(plane)
-        if not 0 <= plane < num_planes:
-            raise PartitionError(f"pinned plane {plane} out of range for K={num_planes}")
-        pinned_index[netlist.gate(gate_ref).index] = plane
+    pinned_index = resolve_pinned(netlist, num_planes, pinned)
 
     if num_planes == 1:
         labels = np.zeros(netlist.num_gates, dtype=np.intp)

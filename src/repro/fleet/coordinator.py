@@ -48,19 +48,16 @@ MAX_LEASE_WAIT = 30.0
 class FleetTask(LeaseTask):
     """One job's journey through the fleet queue."""
 
-    __slots__ = ("key", "request", "trace", "tracing", "job_id", "error",
-                 "done_event", "worker")
+    __slots__ = ("key", "trace", "tracing", "job_id", "error", "done_event")
 
-    def __init__(self, key, job, request, trace, tracing, job_id, index):
+    def __init__(self, key, job, trace, tracing, job_id, index):
         super().__init__(job, index)
         self.key = key
-        self.request = request        # canonical request dict (store meta)
         self.trace = trace            # TraceContext wire dict or None
         self.tracing = bool(tracing)  # deep solver capture requested
         self.job_id = job_id          # service Job id (event correlation)
         self.error = None
         self.done_event = threading.Event()
-        self.worker = None            # worker id of the completing node
 
     def wait(self, timeout=None):
         """Block until resolved; ``(payload, snapshot)`` or ReproError."""
@@ -139,8 +136,7 @@ class FleetCoordinator:
         return self
 
     # -- JobManager side -----------------------------------------------
-    def submit(self, key, suite_job, request, trace=None, tracing=False,
-               job_id=None):
+    def submit(self, key, suite_job, trace=None, tracing=False, job_id=None):
         """Queue one job for the fleet; returns its :class:`FleetTask`.
 
         Dedup by content key happens upstream in the
@@ -149,8 +145,7 @@ class FleetCoordinator:
         """
         self.start()
         with self._cond:
-            task = FleetTask(key, suite_job, request, trace, tracing,
-                             job_id, self._index)
+            task = FleetTask(key, suite_job, trace, tracing, job_id, self._index)
             self._index += 1
             self._queue.submit(task)
             self._inc_locked("fleet.jobs.submitted")
@@ -189,7 +184,6 @@ class FleetCoordinator:
                 "deadline_s": self.lease_ttl,
                 "heartbeat_s": self.heartbeat_s,
                 "job": job_to_wire(task.job),
-                "request": task.request,
                 "trace": task.trace,
                 "tracing": task.tracing,
             }))
@@ -284,7 +278,6 @@ class FleetCoordinator:
                     problem = self._queue.complete(task, decoded)
                 if problem is None:
                     task.snapshot = snapshot
-                    task.worker = worker_id
                     record["completed"] += 1
                     self._inc_locked("fleet.completions")
                     task.done_event.set()

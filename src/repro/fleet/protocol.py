@@ -18,7 +18,6 @@ One lease grant is::
     {"lease": "<id>", "key": "<request key>", "attempt": n,
      "deadline_s": <ttl>, "heartbeat_s": <period>,
      "job": <repro.harness.wire.job_to_wire dict>,
-     "request": <canonical request dict>,       # result-store meta
      "trace": <TraceContext.to_wire dict>|None, # cross-node tracing
      "tracing": bool}                           # deep capture requested
 

@@ -291,6 +291,35 @@ def last_report():
     return _LAST_REPORT
 
 
+def load_job_netlist(job):
+    """The netlist ``job`` solves: its inline ``netlist_json`` or the
+    suite circuit it names."""
+    # Deferred imports: keep worker startup light and avoid an import
+    # cycle (tables imports this module for run_jobs).
+    if job.netlist_json is None:
+        from repro.circuits.suite import build_circuit
+
+        return build_circuit(job.circuit)
+    from repro.netlist.library import default_library
+    from repro.netlist.serialize import netlist_from_dict
+
+    # validate=False: every netlist_json reaching a job was already
+    # structurally validated at its entry boundary (the service API
+    # validates POST bodies; PATCH edits come out of apply_diff).
+    return netlist_from_dict(job.netlist_json, default_library(), validate=False)
+
+
+def partition_payload(job, result):
+    """The payload of one solved job: its circuit, report and labels."""
+    from repro.metrics.report import evaluate_partition
+
+    return {
+        "circuit": job.circuit,
+        "report": evaluate_partition(result),
+        "labels": result.labels,
+    }
+
+
 def execute_job(job):
     """Run one job in this process; returns a plain payload dict.
 
@@ -298,23 +327,7 @@ def execute_job(job):
     the pool slots both call it, which is what makes ``--jobs N``
     bitwise-identical to ``--jobs 1``.
     """
-    # Deferred imports: keep worker startup light and avoid an import
-    # cycle (tables imports this module for run_jobs).
-    from repro.circuits.suite import build_circuit
-    from repro.metrics.report import evaluate_partition
-
-    if job.netlist_json is not None:
-        from repro.netlist.library import default_library
-        from repro.netlist.serialize import netlist_from_dict
-
-        # validate=False: every netlist_json reaching a job was already
-        # structurally validated at its entry boundary (the service API
-        # validates POST bodies; PATCH edits come out of apply_diff).
-        netlist = netlist_from_dict(
-            job.netlist_json, default_library(), validate=False
-        )
-    else:
-        netlist = build_circuit(job.circuit)
+    netlist = load_job_netlist(job)
     if job.kind == "plan":
         from repro.core.planner import plan_bias_limited
 
@@ -324,14 +337,11 @@ def execute_job(job):
             config=job.config,
             seed=job.seed,
         )
-        return {
-            "circuit": job.circuit,
-            "report": evaluate_partition(plan.result),
-            "labels": plan.result.labels,
-            "k_lb": plan.k_lb,
-            "k_res": plan.k_res,
-            "bias_lines_saved": plan.bias_lines_saved,
-        }
+        payload = partition_payload(job, plan.result)
+        payload.update(
+            k_lb=plan.k_lb, k_res=plan.k_res, bias_lines_saved=plan.bias_lines_saved
+        )
+        return payload
 
     if job.kind == "eco":
         from repro.core.incremental import incremental_partition
@@ -349,12 +359,9 @@ def execute_job(job):
             threshold=params.get("threshold"),
             quality_eps=params.get("quality_eps"),
         )
-        return {
-            "circuit": job.circuit,
-            "report": evaluate_partition(result),
-            "labels": result.labels,
-            "eco": info,
-        }
+        payload = partition_payload(job, result)
+        payload["eco"] = info
+        return payload
 
     from repro.harness.tables import _partition_with
 
@@ -367,11 +374,7 @@ def execute_job(job):
         refine=job.refine,
         pinned=job.pinned,
     )
-    return {
-        "circuit": job.circuit,
-        "report": evaluate_partition(result),
-        "labels": result.labels,
-    }
+    return partition_payload(job, result)
 
 
 def _classify_exception(exc):
@@ -636,8 +639,7 @@ def _charge(report, task, failure):
 
 
 def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
-             checkpoint=None, resume=False, fault_plan=None, return_report=False,
-             force_pool=False):
+             checkpoint=None, resume=False, fault_plan=None, force_pool=False):
     """Execute jobs (inline or in pool slots); payloads in job order.
 
     The pending jobs go into one :class:`~repro.harness.leases.LeaseQueue`.
@@ -671,10 +673,6 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
     fault_plan:
         A :class:`~repro.harness.faults.FaultPlan` for deterministic
         fault injection (default: parsed from ``REPRO_FAULT``).
-    return_report:
-        When true, return ``(payloads, RunReport)`` instead of just the
-        payload list.  The report of the latest run is also available
-        via :func:`last_report`.
     force_pool:
         Run through the slot pool even for a single job / single
         worker.  The pool path is what provides crash isolation and
@@ -800,4 +798,4 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
                 for index, detail in errors.items()),
             failures=report.failures, payloads=payloads, errors=errors,
         )
-    return (payloads, report) if return_report else payloads
+    return payloads

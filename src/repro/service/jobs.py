@@ -582,7 +582,7 @@ class JobManager:
         """
         ctx = OBS.trace.context if self.tracing else None
         task = self.fleet.submit(
-            job.key, suite_job, job.request,
+            job.key, suite_job,
             trace=ctx.to_wire() if ctx is not None else job.trace,
             tracing=ctx is not None, job_id=job.id,
         )

@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from repro.core.config import PartitionConfig
-from repro.core.megabatch import SolveSpec, partition_packed, partition_solo
+from repro.core.megabatch import partition_packed
 from repro.core.partitioner import partition
 import repro.harness.megabatch as megabatch_mod
 from repro.harness.checkpoint import payload_to_jsonable
 from repro.harness.faults import FaultPlan
 from repro.harness.leases import LeaseQueue, LeaseTask
 from repro.harness.megabatch import job_pack_key
-from repro.harness.runner import SuiteJob, execute_job, run_jobs
+from repro.harness.runner import SuiteJob, execute_job, last_report, run_jobs
 from repro.utils.errors import PartitionError
 
 FAST = PartitionConfig(restarts=2, max_iterations=200, seed=0)
@@ -38,108 +38,68 @@ def _assert_results_bitwise_equal(packed, solo):
 # ----------------------------------------------------------------------
 # Core packer: partition_packed vs partition
 # ----------------------------------------------------------------------
+def _assert_packed_matches_partition(netlist, num_planes, runs, pinned=None):
+    packed = partition_packed(netlist, num_planes, runs, pinned=pinned)
+    assert len(packed) == len(runs)
+    for (config, seed), result in zip(runs, packed):
+        solo = partition(netlist, num_planes, config=config, seed=seed, pinned=pinned)
+        _assert_results_bitwise_equal(result, solo)
+    return packed
+
+
 def test_packed_matches_solo_same_config(mixed_netlist):
-    specs = [
-        SolveSpec(netlist=mixed_netlist, num_planes=3, config=FAST, seed=seed)
-        for seed in (0, 7, 42)
-    ]
-    packed = partition_packed(specs)
-    for spec, result in zip(specs, packed):
-        _assert_results_bitwise_equal(result, partition_solo(spec))
+    _assert_packed_matches_partition(
+        mixed_netlist, 3, [(FAST, seed) for seed in (0, 7, 42)]
+    )
 
 
 def test_packed_matches_solo_ragged_restarts(mixed_netlist):
     """Jobs may differ in restart count; each still matches its solo run."""
-    specs = [
-        SolveSpec(netlist=mixed_netlist, num_planes=3, config=FAST, seed=1),
-        SolveSpec(
-            netlist=mixed_netlist, num_planes=3,
-            config=FAST.with_(restarts=5), seed=2,
-        ),
-        SolveSpec(
-            netlist=mixed_netlist, num_planes=3,
-            config=FAST.with_(restarts=1), seed=3,
-        ),
-    ]
-    packed = partition_packed(specs)
-    for spec, result in zip(specs, packed):
-        _assert_results_bitwise_equal(result, partition_solo(spec))
+    _assert_packed_matches_partition(
+        mixed_netlist, 3,
+        [(FAST, 1), (FAST.with_(restarts=5), 2), (FAST.with_(restarts=1), 3)],
+    )
 
 
 def test_packed_single_spec_group(mixed_netlist):
-    spec = SolveSpec(netlist=mixed_netlist, num_planes=2, config=FAST, seed=9)
-    (result,) = partition_packed([spec])
-    _assert_results_bitwise_equal(result, partition_solo(spec))
+    _assert_packed_matches_partition(mixed_netlist, 2, [(FAST, 9)])
 
 
-def test_packed_empty_group():
-    assert partition_packed([]) == []
+def test_packed_empty_group(mixed_netlist):
+    assert partition_packed(mixed_netlist, 3, []) == []
 
 
 def test_packed_respects_pinned(mixed_netlist):
     pinned = {"a0": 1, "b0": 0}
-    specs = [
-        SolveSpec(
-            netlist=mixed_netlist, num_planes=3, config=FAST,
-            seed=seed, pinned=pinned,
-        )
-        for seed in (4, 5)
-    ]
-    packed = partition_packed(specs)
-    for spec, result in zip(specs, packed):
-        _assert_results_bitwise_equal(result, partition_solo(spec))
+    packed = _assert_packed_matches_partition(
+        mixed_netlist, 3, [(FAST, 4), (FAST, 5)], pinned=pinned
+    )
+    for result in packed:
         assert result.labels[mixed_netlist.gate("a0").index] == 1
         assert result.labels[mixed_netlist.gate("b0").index] == 0
 
 
 def test_packed_seed_falls_back_to_config(mixed_netlist):
-    spec = SolveSpec(
-        netlist=mixed_netlist, num_planes=2, config=FAST.with_(seed=17)
-    )
-    (result,) = partition_packed([spec])
-    _assert_results_bitwise_equal(
-        result, partition(mixed_netlist, 2, config=FAST.with_(seed=17))
-    )
+    """``seed=None`` falls back to ``config.seed``; ``config=None`` is
+    the default config."""
+    _assert_packed_matches_partition(mixed_netlist, 2, [(FAST.with_(seed=17), None)])
+    _assert_packed_matches_partition(mixed_netlist, 2, [(None, 3)])
 
 
-def test_packed_rejects_incompatible_groups(mixed_netlist, chain_netlist):
-    base = SolveSpec(netlist=mixed_netlist, num_planes=3, config=FAST, seed=0)
-    with pytest.raises(PartitionError, match="plane counts"):
-        partition_packed(
-            [base, SolveSpec(netlist=mixed_netlist, num_planes=2, config=FAST)]
-        )
+def test_packed_rejects_incompatible_groups(mixed_netlist):
     with pytest.raises(PartitionError, match="solver configs"):
         partition_packed(
-            [base, SolveSpec(
-                netlist=mixed_netlist, num_planes=3,
-                config=FAST.with_(max_iterations=50),
-            )]
+            mixed_netlist, 3, [(FAST, 0), (FAST.with_(max_iterations=50), 1)]
         )
-    with pytest.raises(PartitionError, match="pinned"):
-        partition_packed(
-            [base, SolveSpec(
-                netlist=mixed_netlist, num_planes=3, config=FAST,
-                pinned={"a0": 0},
-            )]
-        )
-    with pytest.raises(PartitionError, match="problem arrays"):
-        partition_packed(
-            [base, SolveSpec(netlist=chain_netlist, num_planes=3, config=FAST)]
-        )
+    with pytest.raises(PartitionError, match="out of range"):
+        partition_packed(mixed_netlist, 3, [(FAST, 0)], pinned={"a0": 3})
 
 
 def test_packed_rejects_wrong_engine_and_k(mixed_netlist):
     with pytest.raises(PartitionError, match="engine"):
-        partition_packed(
-            [SolveSpec(
-                netlist=mixed_netlist, num_planes=3,
-                config=FAST.with_(engine="multilevel"),
-            )]
-        )
+        partition_packed(mixed_netlist, 3, [(FAST.with_(engine="multilevel"), 0)])
     with pytest.raises(PartitionError, match="num_planes"):
-        partition_packed(
-            [SolveSpec(netlist=mixed_netlist, num_planes=1, config=FAST)]
-        )
+        partition_packed(mixed_netlist, 1, [(FAST, 0)])
 
 
 # ----------------------------------------------------------------------
@@ -150,6 +110,13 @@ def _job(circuit="KSA4", planes=3, seed=0, **kwargs):
     return SuiteJob(
         kind="partition", circuit=circuit, num_planes=planes, seed=seed, **kwargs
     )
+
+
+def _inline_netlist(circuit):
+    from repro.circuits.suite import build_circuit
+    from repro.netlist.serialize import netlist_to_dict
+
+    return netlist_to_dict(build_circuit(circuit))
 
 
 def test_job_pack_key_groups_compatible_jobs():
@@ -172,6 +139,20 @@ def test_job_pack_key_separates_distinct_problems():
     assert job_pack_key(_job(refine=True)) != base
     assert job_pack_key(_job(pinned={"x0_0": 0})) != base
     assert job_pack_key(_job(config=FAST.with_(max_iterations=77))) != base
+    assert job_pack_key(_job(config=FAST.with_(c1=81.0))) != base
+    # Inline netlists separate by content, not by name.
+    inline = _inline_netlist("KSA4")
+    edited = dict(inline, edges=inline["edges"][1:])
+    assert job_pack_key(_job(netlist_json=inline)) != job_pack_key(
+        _job(netlist_json=edited)
+    )
+    assert job_pack_key(_job(netlist_json=inline)) == job_pack_key(
+        _job(netlist_json=_inline_netlist("KSA4"), seed=5)
+    )
+    # No config is the default config.
+    assert job_pack_key(_job(config=None)) == job_pack_key(
+        _job(config=PartitionConfig(), seed=3)
+    )
 
 
 def _grants(jobs, pending=None, gated=(), now=1.0):
@@ -252,8 +233,10 @@ def test_run_jobs_megabatch_payloads_identical(packed_groups):
     jobs = [_job(seed=seed) for seed in range(3)]
     jobs.append(_job(planes=2, seed=0))  # singleton: solo path inside
     jobs.append(_job(seed=1, refine=True))
+    inline = _inline_netlist("KSA4")
+    jobs += [_job(seed=seed, netlist_json=inline) for seed in (4, 5)]
     packed = run_jobs(jobs, jobs=1)
-    assert packed_groups == [3]
+    assert packed_groups == [3, 2]
     assert _jsonable(packed) == _jsonable(execute_job(job) for job in jobs)
 
 
@@ -293,7 +276,8 @@ def test_failed_group_falls_back_to_uncharged_per_job_attempts(monkeypatch):
 
     monkeypatch.setattr(megabatch_mod, "execute_group", broken)
     jobs = [_job(seed=0), _job(seed=1)]
-    payloads, report = run_jobs(jobs, jobs=1, retries=0, return_report=True)
+    payloads = run_jobs(jobs, jobs=1, retries=0)
+    report = last_report()
     assert groups == [2]
     assert report.failures == [] and report.executed == 2
     assert _jsonable(payloads) == _jsonable(execute_job(job) for job in jobs)

@@ -19,8 +19,7 @@ from repro.utils.rng import make_rng
 def test_matching_halves_node_count():
     # a chain matches ~perfectly: 10 nodes -> 5 supernodes
     edges = np.array([(i, i + 1) for i in range(9)])
-    weights = np.ones(9)
-    coarse_count, mapping = _heavy_edge_matching(10, edges, weights, make_rng(0))
+    coarse_count, mapping = _heavy_edge_matching(10, edges, make_rng(0))
     assert coarse_count <= 6
     assert mapping.shape == (10,)
     assert mapping.max() == coarse_count - 1
@@ -29,8 +28,7 @@ def test_matching_halves_node_count():
 def test_matching_pairs_connected_nodes():
     # two nodes, one edge: they must merge; the isolated third stays alone
     edges = np.array([(0, 1)])
-    weights = np.array([5.0])
-    coarse_count, mapping = _heavy_edge_matching(3, edges, weights, make_rng(0))
+    coarse_count, mapping = _heavy_edge_matching(3, edges, make_rng(0))
     assert coarse_count == 2
     assert mapping[0] == mapping[1]
     assert mapping[2] != mapping[0]
@@ -38,12 +36,12 @@ def test_matching_pairs_connected_nodes():
 
 def test_matching_respects_weights_from_fixed_order():
     """Heavy-edge preference, checked across several RNG orders: the
-    0-1 edge (weight 5) must win far more often than 0-2 (weight 1)."""
-    edges = np.array([(0, 1), (0, 2)])
-    weights = np.array([5.0, 1.0])
+    0-1 pair (weight 5: five parallel rows) must win far more often
+    than 0-2 (one row)."""
+    edges = np.array([(0, 1)] * 5 + [(0, 2)])
     heavy_wins = 0
     for seed in range(10):
-        _, mapping = _heavy_edge_matching(3, edges, weights, make_rng(seed))
+        _, mapping = _heavy_edge_matching(3, edges, make_rng(seed))
         if mapping[0] == mapping[1]:
             heavy_wins += 1
     # node 0 prefers 1 whenever 0 or 1 is visited before 2 matched it
@@ -52,11 +50,8 @@ def test_matching_respects_weights_from_fixed_order():
 
 def test_project_edges_drops_self_loops():
     edges = np.array([(0, 1), (1, 2)])
-    weights = np.array([1.0, 1.0])
     mapping = np.array([0, 0, 1])
-    coarse_edges, coarse_weights = _project_edges(edges, weights, mapping)
-    assert coarse_edges.tolist() == [[0, 1]]
-    assert coarse_weights.tolist() == [1.0]
+    assert _project_edges(edges, mapping).tolist() == [[0, 1]]
 
 
 def test_contract(mixed_netlist, fast_config):

@@ -8,7 +8,6 @@ from repro.core.assignment import round_assignment, round_assignment_balanced
 from repro.core.coarsening import (
     coarsen_problem,
     compose_maps,
-    expand_weighted_edges,
     heavy_edge_matching,
     project_edges,
 )
@@ -27,11 +26,11 @@ ML_CONFIG = PartitionConfig(
 # Coarsening building blocks
 # ----------------------------------------------------------------------
 def test_heavy_edge_matching_prefers_heavy_edges(rng):
-    # Two heavy pairs joined by a light bridge: whatever visit order the
-    # rng picks, every node's heaviest available neighbor is its pair.
-    edges = np.array([[0, 1], [2, 3], [1, 2]], dtype=np.intp)
-    weights = np.array([10.0, 10.0, 1.0])
-    count, fine_to_coarse = heavy_edge_matching(4, edges, weights, rng)
+    # Two heavy pairs (three parallel rows each) joined by a light
+    # bridge: whatever visit order the rng picks, every node's heaviest
+    # available neighbor is its pair.
+    edges = np.array([[0, 1]] * 3 + [[2, 3]] * 3 + [[1, 2]], dtype=np.intp)
+    count, fine_to_coarse = heavy_edge_matching(4, edges, rng)
     assert count == 2
     assert fine_to_coarse[0] == fine_to_coarse[1]
     assert fine_to_coarse[2] == fine_to_coarse[3]
@@ -40,19 +39,16 @@ def test_heavy_edge_matching_prefers_heavy_edges(rng):
 
 def test_heavy_edge_matching_keeps_frozen_singleton(rng):
     edges = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.intp)
-    weights = np.ones(3)
-    _count, fine_to_coarse = heavy_edge_matching(4, edges, weights, rng, frozen={1})
+    _count, fine_to_coarse = heavy_edge_matching(4, edges, rng, frozen={1})
     # Node 1 may not merge with anything.
     assert np.sum(fine_to_coarse == fine_to_coarse[1]) == 1
 
 
 def test_project_edges_drops_self_loops_keeps_multiplicity():
-    edges = np.array([[0, 1], [1, 2], [0, 2]], dtype=np.intp)
-    weights = np.array([1.0, 2.0, 3.0])
+    edges = np.array([[0, 1], [1, 2], [0, 2], [0, 2]], dtype=np.intp)
     fine_to_coarse = np.array([0, 0, 1], dtype=np.intp)  # merge 0 and 1
-    coarse_edges, coarse_weights = project_edges(edges, weights, fine_to_coarse)
-    assert coarse_edges.tolist() == [[0, 1], [0, 1]]
-    assert coarse_weights.tolist() == [2.0, 3.0]
+    coarse_edges = project_edges(edges, fine_to_coarse)
+    assert coarse_edges.tolist() == [[0, 1], [0, 1], [0, 1]]
 
 
 def test_coarsen_problem_conserves_bias_and_area(rng):
@@ -62,7 +58,7 @@ def test_coarsen_problem_conserves_bias_and_area(rng):
     area = np.full(num, 100.0)
     levels, maps = coarsen_problem(num, edges, bias, area, 8, rng)
     assert maps, "a 30-node chain must coarsen"
-    for level_bias, level_area, _edges, _weights in levels:
+    for level_bias, level_area, _edges in levels:
         assert np.isclose(level_bias.sum(), bias.sum())
         assert np.isclose(level_area.sum(), area.sum())
     composed = compose_maps(maps)
@@ -77,12 +73,6 @@ def test_coarsen_problem_stops_without_edges(rng):
     )
     assert maps == []
     assert len(levels) == 1
-
-
-def test_expand_weighted_edges_repeats_rows():
-    edges = np.array([[0, 1], [1, 2]], dtype=np.intp)
-    expanded = expand_weighted_edges(edges, np.array([2.0, 1.0]))
-    assert expanded.tolist() == [[0, 1], [0, 1], [1, 2]]
 
 
 # ----------------------------------------------------------------------

@@ -319,9 +319,9 @@ def test_checkpoint_ignores_mismatched_config(tmp_path):
     assert last_report().from_checkpoint == 0
 
 
-def test_return_report_flag():
+def test_last_report_reads_the_run_report():
     jobs = _jobs(2)
-    payloads, report = run_jobs(jobs, jobs=1, return_report=True)
+    payloads = run_jobs(jobs, jobs=1)
     assert len(payloads) == 2
-    assert report is last_report()
+    report = last_report()
     assert report.total == 2 and report.executed == 2

@@ -231,7 +231,9 @@ class ArtifactCache:
         }
         tmp = json_path + suffix
         with open(tmp, "w") as handle:
-            json.dump(entry, handle)
+            # One dumps and one write: json.dump streams through the
+            # pure-Python encoder, several times slower; same text.
+            handle.write(json.dumps(entry))
         os.replace(tmp, json_path)
         self._count("writes")
         return json_path

@@ -35,11 +35,13 @@ def job_pack_key(job):
     """Hashable grouping key for ``job``, or ``None`` when unpackable.
 
     The key is the job's checkpoint :func:`~repro.harness.checkpoint.job_key`
-    with ``seed`` cleared and the config passed through
+    with ``seed`` and ``refine`` cleared and the config passed through
     :func:`~repro.core.megabatch.comparable_config`, so two jobs share
-    it exactly when everything that decides their answers but
+    it exactly when everything that decides their descents but
     ``restarts``/``seed`` is equal — the same problem for
-    :func:`repro.core.megabatch.partition_packed`.
+    :func:`repro.core.megabatch.partition_packed`.  ``refine`` does not
+    enter the descent: :func:`execute_group` refines each job's own
+    result after it.
     """
     if job.kind != "partition" or job.method != "gradient":
         return None
@@ -48,7 +50,7 @@ def job_pack_key(job):
     config = comparable_config(job.config)
     if config.engine != "batched":
         return None
-    return job_key(dataclasses.replace(job, seed=None, config=config))
+    return job_key(dataclasses.replace(job, seed=None, refine=False, config=config))
 
 
 def execute_group(jobs):

@@ -100,6 +100,16 @@ def _methods():
     return PARTITION_METHODS
 
 
+def _finite(value):
+    """Whether ``value`` is a JSON number (not a bool) of finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def validate_request(data):
     """Normalize a request body into its canonical dict, or raise 400."""
     if not isinstance(data, dict):
@@ -136,7 +146,7 @@ def validate_request(data):
             raise BadRequestError(str(error)) from None
 
     method = data.get("method", "gradient")
-    if method not in _methods():
+    if not isinstance(method, str) or method not in _methods():
         raise BadRequestError(
             f"unknown method {method!r}; available: {sorted(_methods())}"
         )
@@ -182,8 +192,7 @@ def validate_request(data):
         full = dict(DEFAULT_WEIGHTS)
         for name in sorted(weights):
             value = weights[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not (value >= 0 and math.isfinite(value)):
+            if not _finite(value) or value < 0:
                 raise BadRequestError(
                     f"weight {name} must be a finite number >= 0, got {value!r}"
                 )
@@ -233,8 +242,7 @@ def validate_request(data):
             raise BadRequestError("weight_ratios must be a non-empty array of numbers > 0")
         cleaned = set()
         for ratio in ratios:
-            if isinstance(ratio, bool) or not isinstance(ratio, (int, float)) \
-                    or not (ratio > 0 and math.isfinite(ratio)):
+            if not _finite(ratio) or ratio <= 0:
                 raise BadRequestError(
                     f"weight_ratios entries must be finite numbers > 0, got {ratio!r}"
                 )
@@ -242,10 +250,7 @@ def validate_request(data):
         normalized["weight_ratios"] = sorted(cleaned)
 
         clock = data.get("clock_ghz")
-        if clock is not None and (
-            isinstance(clock, bool) or not isinstance(clock, (int, float))
-            or not (clock > 0 and math.isfinite(clock))
-        ):
+        if clock is not None and (not _finite(clock) or clock <= 0):
             raise BadRequestError(f"clock_ghz must be a number > 0, got {clock!r}")
         # Resolved at validation time so the content key pins the clock
         # the energy numbers were computed at.
@@ -286,10 +291,9 @@ def validate_request(data):
 
     if kind == "plan":
         bias_limit = data.get("bias_limit_ma", 100.0)
-        if isinstance(bias_limit, bool) or not isinstance(bias_limit, (int, float)) \
-                or not bias_limit > 0:
+        if not _finite(bias_limit) or bias_limit <= 0:
             raise BadRequestError(
-                f"bias_limit_ma must be a number > 0, got {bias_limit!r}"
+                f"bias_limit_ma must be a finite number > 0, got {bias_limit!r}"
             )
         normalized["bias_limit_ma"] = float(bias_limit)
     elif data.get("bias_limit_ma") is not None:
@@ -425,7 +429,7 @@ def validate_eco_body(data):
         normalized["threshold"] = float(threshold)
     eps = data.get("quality_eps")
     if eps is not None:
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)) or eps < 0:
+        if not _finite(eps) or eps < 0:
             raise BadRequestError(
                 f"quality_eps must be a number >= 0, got {eps!r}"
             )

@@ -1,5 +1,5 @@
-"""The partitioning HTTP server: a strict HTTP/1.x handler on a
-``ThreadingHTTPServer`` accept loop.
+"""The partitioning HTTP server: a strict HTTP/1.x handler on its own
+accept loop.
 
 Routes (all JSON in, JSON out)::
 
@@ -48,13 +48,15 @@ connected span tree whose root carries the request id.  Per-route
 latency lands in bounded ``service.http.seconds.<route>`` histograms
 (ids collapse into the route label, so label cardinality stays fixed).
 
-Connections: each accepted connection runs on a daemon handler thread.
-A thread whose connection ended parks for the next one (at most
-:data:`IDLE_HANDLER_THREADS` park; the rest exit), and a new thread
-starts only when none is parked, so there is no cap: fleet lease
-long-polls and slow clients each hold their own thread.  A socket read
-or write that waits :data:`HANDLER_TIMEOUT_S` seconds closes the
-connection without an answer.
+Connections: daemon handler threads wait in ``accept()`` on the
+listening socket themselves, so each connection is served on the thread
+that accepted it, with no hand-off between threads.  A thread whose
+connection ended waits there for the next one (at most
+:data:`IDLE_HANDLER_THREADS` wait; the rest exit), and a thread that
+accepts while no other waits starts one more first, so there is no cap:
+fleet lease long-polls and slow clients each hold their own thread.  A
+socket read or write that waits :data:`HANDLER_TIMEOUT_S` seconds closes
+the connection without an answer.
 
 The request reader is strict (RFC 9112) and accepts only HTTP/1.0 and
 HTTP/1.1 with ``Content-Length`` bodies; anything else is answered with
@@ -75,12 +77,17 @@ HTTP/1.1 connections stay open unless the client sends ``Connection:
 close``; HTTP/1.0 ones close unless it sends ``keep-alive``.  A response
 sent before the request body was read also closes the connection.
 ``Expect: 100-continue`` gets its interim ``100 Continue`` just before
-the body is read, and every response leaves in one ``sendall``.
+the body is read, and every response leaves in one ``sendall``.  A body
+that is not JSON, or nests too deep to parse, is a 400.
 
 Determinism: the server never mutates a request — the job built from it
 is field-for-field the one the CLI builds (see
 :func:`repro.service.api.request_to_job`), so a served assignment is
-bitwise-identical to a local run with the same inputs.
+bitwise-identical to a local run with the same inputs.  A repeated
+``POST /v1/jobs`` body is not validated again: the request memo
+(:class:`_RequestMemo`) hands back the normalized request and key its
+first copy validated to, a dict every job of that body shares and no
+reader mutates.
 """
 
 import contextvars
@@ -91,10 +98,10 @@ import socket
 import sys
 import threading
 import time
+import traceback
 from collections import OrderedDict
 from email.utils import formatdate
 from http import HTTPStatus
-from http.server import ThreadingHTTPServer
 from urllib.parse import parse_qs
 
 from repro import __version__, envcfg
@@ -138,7 +145,7 @@ DEFAULT_QUEUE_SIZE = 64
 DEFAULT_RETRY_AFTER = 1
 DEFAULT_MAX_WORKERS = 4
 
-#: Handler threads kept parked for the next connection.
+#: Handler threads kept waiting in ``accept()`` for the next connection.
 IDLE_HANDLER_THREADS = 4
 
 #: Seconds a handler waits on one socket read or write (the request
@@ -150,6 +157,12 @@ HANDLER_TIMEOUT_S = 30.0
 #: Bound on the JSON text of result payloads the server keeps encoded
 #: (see :class:`_ResultText`); a larger payload is not kept.
 RESULT_TEXT_BYTES = 1024 * 1024
+
+#: Longest ``POST /v1/jobs`` body the request memo keeps, and the most
+#: bodies it keeps (see :class:`_RequestMemo`).  A suite-circuit request
+#: is under 200 bytes; an inline netlist is never kept.
+REQUEST_MEMO_BODY_BYTES = 512
+REQUEST_MEMO_ENTRIES = 256
 
 
 def resolve_host(host=None, environ=None):
@@ -250,6 +263,17 @@ def route_label(method, path):
     return "other"
 
 
+def _validated(body):
+    """``(normalized request, request_key)`` of a parsed body, or a 400."""
+    try:
+        normalized = validate_request(body)
+        return normalized, request_key(normalized)
+    except RecursionError:
+        # An inline netlist may carry extra values nested too deep for
+        # the canonical walk of request_key.
+        raise BadRequestError("request body nests too deep") from None
+
+
 class PartitionService:
     """Everything one server instance owns: manager, store, telemetry."""
 
@@ -292,6 +316,7 @@ class PartitionService:
             tracing=tracing,
             trace_sink=self.absorb,
         )
+        self.requests = _RequestMemo()
         self.started_at = time.time()
 
     def start(self):
@@ -341,8 +366,17 @@ class PartitionService:
 
     # -- route logic (transport-free; the handler is a thin shell) -----
     def submit(self, body, ctx=None):
-        normalized = validate_request(body)
-        key = request_key(normalized)
+        """``POST /v1/jobs``.  ``body`` is the parsed request, or the raw
+        body bytes: a repeat of bytes that validated before takes its
+        normalized request and key from the request memo."""
+        if isinstance(body, bytes):
+            known = self.requests.get(body)
+            if known is None:
+                known = _validated(_parse_body(body))
+                self.requests.put(body, *known)
+            normalized, key = known
+        else:
+            normalized, key = _validated(body)
         job, outcome = self.manager.submit(key, normalized, ctx=ctx)
         status = 200 if outcome == "cached" else 202
         payload = job.to_dict()
@@ -611,7 +645,7 @@ class PartitionService:
         try:
             max_jobs = max(1, int(max_jobs))
             wait = max(0.0, float(wait))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise BadRequestError(
                 f"max_jobs/wait must be numbers, got {max_jobs!r}/{wait!r}"
             ) from None
@@ -728,6 +762,10 @@ _FIELD_LINE = re.compile(rb"(" + _TOKEN + rb"):([\t\x20-\x7e\x80-\xff]*)\r?\n")
 _MAX_LINE = 65536
 _MAX_HEADER_LINES = 100
 
+#: Largest single socket read of a request head, and of a body.
+_RECV_BYTES = 65536
+_BODY_RECV_BYTES = 1024 * 1024
+
 _METHODS = ("GET", "POST", "PATCH")
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 _SERVER_HEADER = f"Server: repro-gpp-service Python/{sys.version.split()[0]}\r\n"
@@ -738,6 +776,46 @@ _TRACE_KEY = TRACE_HEADER.lower()
 def _shown(line):
     """A rejected request line, as an error message quotes it."""
     return line.rstrip(b"\r\n")[:200].decode("latin-1")
+
+
+def _parse_body(raw):
+    """The JSON value of a request body, or a 400."""
+    try:
+        return json.loads(raw)
+    except RecursionError:
+        # json.loads recurses once per nesting level.
+        raise BadRequestError("request body nests too deep") from None
+    except ValueError as error:
+        raise BadRequestError(f"request body is not valid JSON: {error}") from None
+
+
+class _RequestMemo:
+    """``POST /v1/jobs`` bodies that validated, by their exact bytes.
+
+    Each maps to the ``(normalized request, request_key)`` its first
+    copy validated to; every job of that body shares the normalized
+    dict, which no reader mutates.  Only suite-circuit requests of at
+    most :data:`REQUEST_MEMO_BODY_BYTES` are kept, at most
+    :data:`REQUEST_MEMO_ENTRIES` of them, oldest out first; a sweep is
+    not kept, because its validation reads the environment.  A body
+    that failed validation is never kept.
+    """
+
+    def __init__(self):
+        self._entries = {}
+        self._lock = threading.Lock()
+
+    def get(self, raw):
+        return self._entries.get(raw)
+
+    def put(self, raw, normalized, key):
+        if (len(raw) > REQUEST_MEMO_BODY_BYTES or "circuit" not in normalized
+                or normalized["kind"] == "sweep"):
+            return
+        with self._lock:
+            if len(self._entries) >= REQUEST_MEMO_ENTRIES:
+                del self._entries[next(iter(self._entries))]
+            self._entries[raw] = (normalized, key)
 
 
 class _ResultText:
@@ -802,11 +880,12 @@ class _Handler:
         self.client_address = client_address
         self.server = server
         self.service = server.service
+        self._buf = b""  # bytes received and not yet read from _pos on
+        self._pos = 0
 
     def serve(self):
         """Serve requests until either side ends the connection."""
         self.sock.settimeout(self.timeout)
-        self.rfile = self.sock.makefile("rb")
         try:
             while True:
                 try:
@@ -824,10 +903,34 @@ class _Handler:
             # A socket read or write waited HANDLER_TIMEOUT_S, or the
             # client went away: drop the connection without answering.
             return
-        finally:
-            self.rfile.close()
 
     # -- request head --------------------------------------------------
+    def _recv(self):
+        """Append what the client sent next to the unread bytes; False
+        when it closed instead."""
+        data = self.sock.recv(_RECV_BYTES)
+        if not data:
+            return False
+        self._buf = self._buf[self._pos:] + data
+        self._pos = 0
+        return True
+
+    def _line(self):
+        """The next line, as ``readline(_MAX_LINE + 1)`` of a file
+        would return it: the line with its newline, ``_MAX_LINE + 1``
+        bytes of a longer one, or what came before the stream ended."""
+        limit = _MAX_LINE + 1
+        while True:
+            buf, pos = self._buf, self._pos
+            end = buf.find(b"\n", pos, pos + limit)
+            if end >= 0:
+                self._pos = end + 1
+                return buf[pos:end + 1]
+            if len(buf) - pos >= limit or not self._recv():
+                line = buf[pos:pos + limit]
+                self._pos = pos + len(line)
+                return line
+
     def _read_head(self):
         """Read one request head into ``self``; False when the client
         closed instead.  Raises :class:`_ProtocolError` on a bad head."""
@@ -837,10 +940,10 @@ class _Handler:
         self.http11 = True
         self._trace_ctx = None
         self._body_left = 0
-        line = self.rfile.readline(_MAX_LINE + 1)
+        line = self._line()
         if line in (b"\r\n", b"\n"):
             # One empty line before a request is ignored (RFC 9112 §2.2).
-            line = self.rfile.readline(_MAX_LINE + 1)
+            line = self._line()
         if len(line) > _MAX_LINE:
             raise _ProtocolError(414, "uri-too-long",
                                  f"request line exceeds {_MAX_LINE} bytes")
@@ -866,7 +969,7 @@ class _Handler:
         headers = {}
         lines = 0
         while True:
-            line = self.rfile.readline(_MAX_LINE + 1)
+            line = self._line()
             if len(line) > _MAX_LINE:
                 raise _ProtocolError(431, "header-fields-too-large",
                                      f"header line exceeds {_MAX_LINE} bytes")
@@ -942,23 +1045,35 @@ class _Handler:
         )
         return True
 
-    def _read_body(self):
+    def _read_raw(self):
+        """The request body's bytes; a 400 when there are none."""
         length = self._body_left
         if not length:
             raise BadRequestError("request body must be a JSON object")
         if self._expect_continue:
             self.sock.sendall(_CONTINUE)
-        raw = self.rfile.read(length)
         self._body_left = 0
-        if len(raw) < length:
-            self.close_connection = True
-            raise BadRequestError(
-                f"request body ended after {len(raw)} of {length} bytes"
-            )
-        try:
-            return json.loads(raw)
-        except ValueError as error:
-            raise BadRequestError(f"request body is not valid JSON: {error}") from None
+        buf, pos = self._buf, self._pos
+        if len(buf) - pos >= length:
+            self._pos = pos + length
+            return buf[pos:pos + length]
+        chunks = [buf[pos:]]
+        got = len(chunks[0])
+        self._buf, self._pos = b"", 0
+        while got < length:
+            # Never past the body: the next request's bytes stay unread.
+            data = self.sock.recv(min(length - got, _BODY_RECV_BYTES))
+            if not data:
+                self.close_connection = True
+                raise BadRequestError(
+                    f"request body ended after {got} of {length} bytes"
+                )
+            chunks.append(data)
+            got += len(data)
+        return b"".join(chunks)
+
+    def _read_body(self):
+        return _parse_body(self._read_raw())
 
     # -- response ------------------------------------------------------
     def _send_json(self, status, payload, headers=()):
@@ -1122,7 +1237,7 @@ class _Handler:
                 )
             if parts == ["v1", "jobs"]:
                 return self._send_json(
-                    *self.service.submit(self._read_body(), ctx=self._trace_ctx)
+                    *self.service.submit(self._read_raw(), ctx=self._trace_ctx)
                 )
             if parts == ["v1", "sweeps"]:
                 return self._send_json(
@@ -1140,24 +1255,12 @@ class _Handler:
         raise NotFoundError(f"no route {method} {path}")
 
 
-class _Parked:
-    """A handler thread waiting for its next connection."""
-
-    __slots__ = ("thread", "wake", "work")
-
-    def __init__(self):
-        self.thread = threading.current_thread()
-        self.wake = threading.Lock()
-        self.wake.acquire()
-        self.work = None
-
-
-class PartitionHTTPServer(ThreadingHTTPServer):
-    """HTTP server bound to one :class:`PartitionService`; each connection
-    runs on a daemon handler thread, reused once idle (module docstring).
+class PartitionHTTPServer:
+    """The listening socket of one :class:`PartitionService` and the
+    handler threads that accept and serve its connections (module
+    docstring).
     """
 
-    daemon_threads = True
     # The stdlib default listen backlog of 5 drops connections under a
     # modest burst (the 16-client benchmark hits it); job-level load is
     # bounded separately by the job queue, so accept generously here.
@@ -1166,41 +1269,97 @@ class PartitionHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, service, verbose=False):
         self.service = service
         self.verbose = verbose
-        self._parked = []
-        self._parked_lock = threading.Lock()
-        self._closed = False
+        self._lock = threading.Lock()
+        self._accepting = 0  # handler threads in (or on their way to) accept()
+        self._stopping = True  # until serve_forever starts
+        self._stop_requested = threading.Event()
+        self._stopped = threading.Event()
         self._date = (0, "")  # (unix second, its Date header line)
         self.results = _ResultText()
-        super().__init__(address, _Handler)
+        self.socket = socket.create_server(address, backlog=self.request_queue_size)
+        self.server_address = self.socket.getsockname()
 
-    def process_request(self, request, client_address):
-        """Hand the connection to a parked handler thread, else start one."""
-        with self._parked_lock:
-            parked = self._parked.pop() if self._parked else None
-        if parked is None:
-            threading.Thread(
-                target=self._handler_loop, args=(request, client_address),
-                daemon=self.daemon_threads,
-            ).start()
-        else:
-            parked.work = (request, client_address)
-            parked.wake.release()
+    def serve_forever(self):
+        """Serve connections until :meth:`shutdown`.
 
-    def _handler_loop(self, request, client_address):
-        parked = _Parked()
-        work = (request, client_address)
-        while work is not None:
-            # A fresh context per connection, as a fresh thread would have.
-            contextvars.Context().run(self.process_request_thread, *work)
-            with self._parked_lock:
-                if self._closed or len(self._parked) >= IDLE_HANDLER_THREADS:
+        This thread only waits: handler threads accept connections
+        themselves, so a connection is served on the thread that
+        accepted it, with no hand-off between threads.
+        """
+        self._stopped.clear()
+        with self._lock:
+            self._stopping = False
+            self._accepting += 1
+        self._start_handler()
+        try:
+            self._stop_requested.wait()
+        finally:
+            self._stop_accepting()
+            self._stop_requested.clear()
+            self._stopped.set()
+
+    def _start_handler(self):
+        threading.Thread(target=self._handler_loop, daemon=True).start()
+
+    def _handler_loop(self):
+        """Accept a connection and serve it, then wait in ``accept()``
+        again; the thread ends when :data:`IDLE_HANDLER_THREADS` others
+        already wait there, or when the server stops."""
+        while True:
+            try:
+                request, client_address = self.socket.accept()
+            except OSError:
+                if self._stopping:
+                    with self._lock:
+                        self._accepting -= 1
                     return
-                self._parked.append(parked)
-            parked.wake.acquire()
-            work, parked.work = parked.work, None
+                continue  # a failed accept, such as out of descriptors
+            with self._lock:
+                self._accepting -= 1
+                stopping = self._stopping
+                spawn = not stopping and self._accepting == 0
+                if spawn:
+                    self._accepting += 1
+            if stopping:
+                request.close()
+                return
+            if spawn:
+                # Someone must be in accept() while this thread serves:
+                # a fleet long-poll or a slow client can hold it long.
+                self._start_handler()
+            # A fresh context per connection, as a fresh thread would have.
+            contextvars.Context().run(self._serve_connection, request, client_address)
+            with self._lock:
+                if self._stopping or self._accepting >= IDLE_HANDLER_THREADS:
+                    return
+                self._accepting += 1
 
-    def finish_request(self, request, client_address):
-        _Handler(request, client_address, self).serve()
+    def _serve_connection(self, request, client_address):
+        try:
+            _Handler(request, client_address, self).serve()
+        except Exception:
+            self.handle_error(client_address)
+        finally:
+            try:
+                request.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass  # the client already went away
+            request.close()
+
+    def _stop_accepting(self):
+        """End the handler threads waiting in ``accept()``: one
+        connection to the listener wakes each."""
+        with self._lock:
+            self._stopping = True
+            waiting = self._accepting
+        host, port = self.server_address[:2]
+        if host == "0.0.0.0":
+            host = "127.0.0.1"
+        for _ in range(waiting):
+            try:
+                socket.create_connection((host, port), timeout=1.0).close()
+            except OSError:
+                return  # the listener is already closed
 
     def date_header(self):
         """The ``Date`` header line, formatted at most once per second."""
@@ -1211,24 +1370,17 @@ class PartitionHTTPServer(ThreadingHTTPServer):
             self._date = (now, line)
         return line
 
-    def handle_error(self, request, client_address):
+    def handle_error(self, client_address):
         """Print a handler's traceback unless the client hung up."""
         if not isinstance(sys.exc_info()[1], ConnectionError):
-            super().handle_error(request, client_address)
+            print(f"Exception serving {client_address}:", file=sys.stderr)
+            traceback.print_exc()
 
     def server_close(self):
-        """Close the listener and end the parked handler threads.
-
-        Threads still serving a connection are daemons and end with it.
-        """
-        super().server_close()
-        with self._parked_lock:
-            self._closed = True
-            parked, self._parked = self._parked, []
-        for thread in parked:
-            thread.wake.release()
-        for thread in parked:
-            thread.thread.join(timeout=1.0)
+        """Close the listener.  Threads still serving a connection are
+        daemons and end with it."""
+        self._stop_accepting()
+        self.socket.close()
 
     @property
     def url(self):
@@ -1236,7 +1388,10 @@ class PartitionHTTPServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def shutdown(self):
-        super().shutdown()
+        """Stop :meth:`serve_forever` (wait for it to return), then the
+        service."""
+        self._stop_requested.set()
+        self._stopped.wait()
         self.service.stop()
 
 

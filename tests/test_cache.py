@@ -98,6 +98,35 @@ def test_put_get_roundtrip_with_arrays(tmp_path):
     assert cache.stats["writes"] == 1 and cache.stats["hits"] == 1
 
 
+def test_entry_file_is_one_json_dumps_of_the_entry(tmp_path):
+    """``put`` writes ``json.dumps(entry)``: the text ``json.dump``
+    wrote before, encoded in one call."""
+    import io
+
+    from repro.cache.store import CACHE_SCHEMA_VERSION, _payload_checksum
+
+    cache = ArtifactCache(root=str(tmp_path / "store"))
+    key = cache_key("netlist", ["g"], {}, "h")
+    payload = {"labels": [0, 2, 1], "cost": 1 / 3, "name": "KSA\u00e9",
+               "nested": {"b": [1.5e-300, None, True], "a": "x"}}
+    meta = {"request": {"circuit": "KSA4", "num_planes": 2}}
+    json_path = cache.put(key, "netlist", payload, meta=meta)
+    entry = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "kind": "netlist",
+        "key": key,
+        "meta": meta,
+        "checksum": _payload_checksum(payload),
+        "arrays": [],
+        "payload": payload,
+    }
+    streamed = io.StringIO()
+    json.dump(entry, streamed)
+    with open(json_path) as handle:
+        text = handle.read()
+    assert text == json.dumps(entry) == streamed.getvalue()
+
+
 def test_get_miss_and_kind_mismatch(tmp_path):
     cache = ArtifactCache(root=str(tmp_path / "store"))
     key = cache_key("netlist", ["g"], {}, "h")

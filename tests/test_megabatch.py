@@ -123,6 +123,8 @@ def test_job_pack_key_groups_compatible_jobs():
     a = job_pack_key(_job(seed=0))
     b = job_pack_key(_job(seed=99, config=FAST.with_(restarts=7)))
     assert a is not None and a == b
+    # Refinement runs per job after the packed descent.
+    assert job_pack_key(_job(seed=3, refine=True)) == a
 
 
 def test_job_pack_key_rejects_unpackable_jobs():
@@ -136,7 +138,6 @@ def test_job_pack_key_separates_distinct_problems():
     base = job_pack_key(_job())
     assert job_pack_key(_job(circuit="KSA8")) != base
     assert job_pack_key(_job(planes=4)) != base
-    assert job_pack_key(_job(refine=True)) != base
     assert job_pack_key(_job(pinned={"x0_0": 0})) != base
     assert job_pack_key(_job(config=FAST.with_(max_iterations=77))) != base
     assert job_pack_key(_job(config=FAST.with_(c1=81.0))) != base
@@ -236,7 +237,17 @@ def test_run_jobs_megabatch_payloads_identical(packed_groups):
     inline = _inline_netlist("KSA4")
     jobs += [_job(seed=seed, netlist_json=inline) for seed in (4, 5)]
     packed = run_jobs(jobs, jobs=1)
-    assert packed_groups == [3, 2]
+    assert packed_groups == [4, 2]
+    assert _jsonable(packed) == _jsonable(execute_job(job) for job in jobs)
+
+
+def test_run_jobs_packs_mixed_refine_bitwise(packed_groups):
+    """Refined and unrefined jobs share one descent; each payload is
+    still its solo run's."""
+    jobs = [_job(seed=0), _job(seed=1, refine=True), _job(seed=2),
+            _job(seed=3, refine=True, config=FAST.with_(restarts=3))]
+    packed = run_jobs(jobs, jobs=1)
+    assert packed_groups == [4]
     assert _jsonable(packed) == _jsonable(execute_job(job) for job in jobs)
 
 

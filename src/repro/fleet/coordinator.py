@@ -1,14 +1,15 @@
 """Coordinator side of the distributed fleet: leases, heartbeats, requeue.
 
-:class:`FleetCoordinator` owns the fleet work queue.  The service's
-:class:`~repro.service.jobs.JobManager` (``isolation="fleet"``) submits
-each admitted job here instead of solving locally; worker nodes pull
-the queue over the ``/fleet/v1`` HTTP routes and report results back.
+:class:`FleetCoordinator` hands the service's work to worker nodes.
+Under ``isolation="fleet"`` the :class:`~repro.service.jobs.JobManager`
+starts no solve thread: it binds itself to the coordinator, and nodes
+lease straight from its admission
+:class:`~repro.harness.leases.LeaseQueue` over the ``/fleet/v1`` HTTP
+routes, so each fleet job waits in exactly one queue.
 
-Attempts, backoff, validation and giving up belong to the
-:class:`~repro.harness.leases.LeaseQueue` inside — the same state
-machine :func:`repro.harness.runner.run_jobs` drains — so a fleet job
-fails exactly like a local one:
+Attempts, backoff, validation and giving up belong to that queue — the
+same state machine :func:`repro.harness.runner.run_jobs` drains — so a
+fleet job fails exactly like a local one:
 
 * a worker reporting a failed attempt (``crashed`` / ``timed-out`` /
   ``invalid-result`` / ``cache-corrupt``) charges one retry and the job
@@ -23,11 +24,14 @@ worker roster, wire-serialized grants (compatible jobs are granted
 together, up to the worker's ``max_jobs``), heartbeats that extend a
 lease's deadline, and a reaper thread that charges a lease whose
 deadline passes (worker death, hang, network partition) as a
-``timed-out`` attempt.
+``timed-out`` attempt.  The job lifecycle stays the manager's: a job's
+first grant begins it, and an accepted result or exhausted retries
+settle it (:meth:`JobManager.settle_lease
+<repro.service.jobs.JobManager.settle_lease>`), both outside the lock.
 
-Thread safety: one condition variable guards the queue, the lease
-table and the worker roster; lease requests long-poll on it so work is
-handed out the moment it is queued.
+Thread safety: the manager's condition variable guards the queue, the
+lease table, the worker roster and the job table; lease requests
+long-poll on it so work is handed out the moment it is queued.
 """
 
 import threading
@@ -35,7 +39,7 @@ import time
 import uuid
 
 from repro.harness.checkpoint import payload_from_jsonable
-from repro.harness.leases import JOB_ERROR_KINDS, LeaseQueue, LeaseTask
+from repro.harness.leases import JOB_ERROR_KINDS
 from repro.harness.runner import resolve_backoff, resolve_retries
 from repro.harness.wire import job_to_wire
 from repro.fleet.protocol import resolve_heartbeat, resolve_lease_ttl
@@ -45,54 +49,33 @@ from repro.utils.errors import ReproError
 MAX_LEASE_WAIT = 30.0
 
 
-class FleetTask(LeaseTask):
-    """One job's journey through the fleet queue."""
-
-    __slots__ = ("key", "trace", "tracing", "job_id", "error", "done_event")
-
-    def __init__(self, key, job, trace, tracing, job_id, index):
-        super().__init__(job, index)
-        self.key = key
-        self.trace = trace            # TraceContext wire dict or None
-        self.tracing = bool(tracing)  # deep solver capture requested
-        self.job_id = job_id          # service Job id (event correlation)
-        self.error = None
-        self.done_event = threading.Event()
-
-    def wait(self, timeout=None):
-        """Block until resolved; ``(payload, snapshot)`` or ReproError."""
-        if not self.done_event.wait(timeout):
-            raise ReproError(
-                f"fleet job {self.key[:12]} not resolved within {timeout} s "
-                f"(state {self.state}; are worker nodes connected?)"
-            )
-        if self.state == "failed":
-            raise ReproError(self.error or "fleet job failed")
-        return self.payload, self.snapshot
-
-
 class FleetCoordinator:
     """See the module docstring."""
 
     def __init__(self, lease_ttl=None, heartbeat=None, retries=None,
-                 backoff=None, metrics=None, events=None, reap_interval=None):
+                 backoff=None, reap_interval=None):
         self.lease_ttl = resolve_lease_ttl(lease_ttl)
         self.heartbeat_s = resolve_heartbeat(heartbeat, self.lease_ttl)
         self.retries = resolve_retries(retries)
         self.backoff = resolve_backoff(backoff)
-        self.metrics = metrics
-        self.events = events
         self._reap_interval = (
             reap_interval if reap_interval is not None
             else max(0.05, min(1.0, self.lease_ttl / 4.0))
         )
-        self._cond = threading.Condition()
-        self._queue = LeaseQueue(self.retries, self.backoff, pack=True)
+        self._manager = None          # the bound JobManager (see bind)
         self._leases = {}             # lease id -> (task, worker_id, deadline)
         self._workers = {}            # worker id -> roster record
-        self._index = 0
         self._running = False
         self._reaper = None
+
+    def bind(self, manager):
+        """Lease from ``manager``'s queue under its lock, and count and
+        emit into its metrics and event log (its constructor calls this)."""
+        self._manager = manager
+        self._cond = manager._cond
+        self._queue = manager._queue
+        self.metrics = manager.metrics
+        self.events = manager.events
 
     # -- metrics / events ----------------------------------------------
     def _inc_locked(self, name, amount=1):
@@ -103,11 +86,9 @@ class FleetCoordinator:
         if self.metrics is not None:
             self.metrics.gauge(name).set(value)
 
-    def _emit(self, event, task=None, **attrs):
-        if self.events is None:
-            return
-        job_id = task.job_id if task is not None else None
-        self.events.emit(event, job_id=job_id, **attrs)
+    def _emit(self, event, task, **attrs):
+        if self.events is not None:
+            self.events.emit(event, job_id=task.owner.id, **attrs)
 
     def _refresh_gauges_locked(self):
         self._gauge_locked("fleet.workers", len(self._workers))
@@ -136,23 +117,17 @@ class FleetCoordinator:
         return self
 
     # -- JobManager side -----------------------------------------------
-    def submit(self, key, suite_job, trace=None, tracing=False, job_id=None):
-        """Queue one job for the fleet; returns its :class:`FleetTask`.
+    def queued_locked(self, task):
+        """Count, and wake the lease long-polls for, a task the manager
+        just admitted to the queue.
 
-        Dedup by content key happens upstream in the
-        :class:`~repro.service.jobs.JobManager`, so every submit here is
-        a distinct unit of work.
+        Dedup by content key and store hits happen in the manager first,
+        so every task here is a distinct unit of work.
         """
-        self.start()
-        with self._cond:
-            task = FleetTask(key, suite_job, trace, tracing, job_id, self._index)
-            self._index += 1
-            self._queue.submit(task)
-            self._inc_locked("fleet.jobs.submitted")
-            self._refresh_gauges_locked()
-            self._cond.notify_all()
-        self._emit("fleet.queued", task, key=key)
-        return task
+        self._inc_locked("fleet.jobs.submitted")
+        self._refresh_gauges_locked()
+        self._cond.notify_all()  # every lease long-poll, not just one waiter
+        self._emit("fleet.queued", task, key=task.owner.key)
 
     # -- worker-facing API ---------------------------------------------
     def _roster_locked(self, worker_id):
@@ -172,20 +147,23 @@ class FleetCoordinator:
         is eligible."""
         granted = []
         record = self._roster_locked(worker_id)
-        for task in self._queue.grant(now, limit):
+        for task in self._manager._grant_locked(now, limit):
+            job = task.owner
             lease_id = uuid.uuid4().hex[:16]
             self._leases[lease_id] = (task, worker_id, now + self.lease_ttl)
             record["leases"].add(lease_id)
             self._inc_locked("fleet.lease.granted")
+            solve_ctx = self._manager._solve_ctx(job)
+            trace = job.trace if solve_ctx is None else solve_ctx
             granted.append((task, {
                 "lease": lease_id,
-                "key": task.key,
+                "key": job.key,
                 "attempt": task.attempts,
                 "deadline_s": self.lease_ttl,
                 "heartbeat_s": self.heartbeat_s,
                 "job": job_to_wire(task.job),
-                "trace": task.trace,
-                "tracing": task.tracing,
+                "trace": None if trace is None else trace.to_wire(),
+                "tracing": solve_ctx is not None,
             }))
         if granted:
             self._gauge_locked(f"fleet.worker.{worker_id}.leases",
@@ -224,6 +202,8 @@ class FleetCoordinator:
                 self._inc_locked("fleet.lease.empty")
             self._refresh_gauges_locked()
         for task, grant in grants:
+            if grant["attempt"] == 1:
+                self._manager._begin([task])
             self._emit("fleet.leased", task, worker=worker_id,
                        lease=grant["lease"], attempt=grant["attempt"])
         return [grant for _task, grant in grants]
@@ -256,9 +236,10 @@ class FleetCoordinator:
         (:func:`~repro.harness.checkpoint.payload_to_jsonable`) form of
         the worker's ``execute_job`` output.  An unknown or expired
         lease answers ``"stale"`` — the job was already requeued (and
-        results are deterministic), so the late result is dropped.
+        results are deterministic), so the late result is dropped.  An
+        accepted result, or a failure that exhausts the job's retries,
+        settles the job before this returns.
         """
-        finish = None
         with self._cond:
             record = self._roster_locked(worker_id)
             entry = self._leases.pop(lease_id, None)
@@ -280,9 +261,6 @@ class FleetCoordinator:
                     task.snapshot = snapshot
                     record["completed"] += 1
                     self._inc_locked("fleet.completions")
-                    task.done_event.set()
-                    finish = ("fleet.completed", task,
-                              {"worker": worker_id, "attempt": task.attempts})
                     status = "accepted"
                 else:
                     record["failed"] += 1
@@ -300,9 +278,11 @@ class FleetCoordinator:
                 )
             self._refresh_gauges_locked()
             self._cond.notify_all()
-        if finish is not None:
-            event, task, attrs = finish
-            self._emit(event, task, **attrs)
+        if status == "accepted":
+            self._emit("fleet.completed", task, worker=worker_id,
+                       attempt=task.attempts)
+        if status != "requeued":
+            self._settle(task)
         return status
 
     # -- failure accounting --------------------------------------------
@@ -311,16 +291,7 @@ class FleetCoordinator:
         self._queue.fail(task, kind, message)
         self._inc_locked(f"fleet.failures.{kind}")
         if task.state == "failed":
-            history = "; ".join(
-                f"attempt {f.attempt}: {f.kind}: {f.message}"
-                for f in task.failures
-            )
-            task.error = (
-                f"fleet job failed after {task.attempts} attempt(s) "
-                f"({self.retries} retries): {history}"
-            )
             self._inc_locked("fleet.jobs.failed")
-            task.done_event.set()
             self._emit("fleet.failed", task, kind=kind, attempts=task.attempts)
             return "failed"
         self._inc_locked("fleet.requeues")
@@ -329,16 +300,27 @@ class FleetCoordinator:
                    message=message)
         return "requeued"
 
+    def _settle(self, task):
+        """Hand a resolved task back to the manager (outside the lock)."""
+        error = None
+        if task.state == "failed":
+            history = "; ".join(
+                f"attempt {f.attempt}: {f.kind}: {f.message}"
+                for f in task.failures
+            )
+            error = (f"fleet job failed after {task.attempts} attempt(s) "
+                     f"({self.retries} retries): {history}")
+        self._manager.settle_lease(task, error)
+
     # -- reaper ---------------------------------------------------------
     def reap_expired(self, now=None):
         """Reclaim leases whose deadline passed; returns how many."""
         now = time.time() if now is None else now
-        reclaimed = 0
+        exhausted = []
         with self._cond:
-            for lease_id in [
-                lease_id for lease_id, (_t, _w, deadline) in self._leases.items()
-                if deadline < now
-            ]:
+            expired = [lease_id for lease_id, (_t, _w, deadline)
+                       in self._leases.items() if deadline < now]
+            for lease_id in expired:
                 task, worker_id, _deadline = self._leases.pop(lease_id)
                 record = self._workers.get(worker_id)
                 if record is not None:
@@ -347,16 +329,18 @@ class FleetCoordinator:
                     self._gauge_locked(f"fleet.worker.{worker_id}.leases",
                                        len(record["leases"]))
                 self._inc_locked("fleet.lease.expired")
-                self._fail_attempt_locked(
+                if self._fail_attempt_locked(
                     task, "timed-out",
                     f"lease {lease_id} on worker {worker_id} expired after "
                     f"{self.lease_ttl} s without a heartbeat",
-                )
-                reclaimed += 1
-            if reclaimed:
+                ) == "failed":
+                    exhausted.append(task)
+            if expired:
                 self._refresh_gauges_locked()
                 self._cond.notify_all()
-        return reclaimed
+        for task in exhausted:
+            self._settle(task)
+        return len(expired)
 
     def _reaper_loop(self):
         while True:
@@ -367,10 +351,6 @@ class FleetCoordinator:
             time.sleep(self._reap_interval)
 
     # -- introspection ---------------------------------------------------
-    def pending_count(self):
-        with self._cond:
-            return len(self._queue.pending)
-
     def workers_snapshot(self):
         """Roster + queue state for ``/fleet/v1/workers`` and ``/healthz``."""
         now = time.time()

@@ -954,7 +954,7 @@ def build_parser():
     )
     serve_parser.add_argument(
         "--workers", type=int, default=None,
-        help="job-executing worker threads (default min(cpus, 4))",
+        help="solve threads of inline/process isolation (default min(cpus, 4))",
     )
     serve_parser.add_argument(
         "--queue-size", type=int, default=None,
@@ -962,8 +962,8 @@ def build_parser():
     )
     serve_parser.add_argument(
         "--timeout", type=float, default=None,
-        help="per-job-attempt wall-clock limit in seconds "
-        "(enforced in --isolation process mode)",
+        help="per-job-attempt wall-clock limit in seconds (enforced in "
+        "--isolation process mode; a fleet's deadline is the lease TTL)",
     )
     serve_parser.add_argument(
         "--retries", type=int, default=None,

@@ -8,12 +8,13 @@ one :class:`LeaseQueue`:
 * :func:`repro.harness.runner.run_jobs` submits its pending jobs and
   drains the queue inline (the calling thread) or through pool slots
   (one persistent child process each, leasing one task at a time);
-* :class:`repro.fleet.coordinator.FleetCoordinator` wraps the queue
-  with what HTTP workers need on top: a roster, heartbeats, a lease
-  reaper and wire grants;
 * :class:`repro.service.jobs.JobManager` admits service requests into
   one and hands each grant (a job, or a packed group) to one
-  ``run_jobs`` call, which counts the attempts.
+  ``run_jobs`` call, which counts the attempts;
+* under fleet isolation that same admission queue counts the attempts
+  itself, and :class:`repro.fleet.coordinator.FleetCoordinator` grants
+  from it with what HTTP workers need on top: a roster, heartbeats, a
+  lease reaper and wire grants.
 
 A task moves ``pending`` → ``leased`` → ``done``, or back to
 ``pending`` after a failed attempt (behind its :func:`retry_delay`
@@ -30,8 +31,8 @@ uncharged and its tasks never pack again, so they fall back to
 per-job attempts.
 
 The queue is not synchronized: the runner drives it from one thread,
-and the coordinator and the manager call it under their own condition
-variables.
+and the manager (with the coordinator bound to it) calls it under the
+manager's condition variable.
 """
 
 import time

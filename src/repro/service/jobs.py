@@ -19,6 +19,12 @@
   :func:`repro.harness.runner.run_jobs` path (retries + failure
   taxonomy; ``isolation="process"`` additionally forces the slot pool
   for crash isolation and enforceable deadlines);
+* under ``isolation="fleet"`` no thread at all: the
+  :class:`~repro.fleet.coordinator.FleetCoordinator` leases straight
+  from the admission queue, which then carries the fleet's retries,
+  backoff and packing, and worker nodes solve.  The coordinator shares
+  the manager's condition variable, so one lock guards the queue, the
+  lease table, the roster and the job table;
 * grant-time packing — under inline isolation, without deep tracing
   and without a fault plan, a worker that finds no other worker idle
   takes the queue's grant (:meth:`LeaseQueue.grant
@@ -27,13 +33,18 @@
   Outcomes are per job: when the runner gives up on one job of a
   batch, the others still finish ``done`` with their payloads, so
   every job gets exactly ``retries + 1`` attempts, packed or not.
-  Solo, sweep and packed jobs share one lifecycle
-  (:meth:`JobManager._execute`);
-* best-effort cancellation: a queued job is dropped before it runs, a
-  running job finishes (inline solves cannot be interrupted).
+  Solo, sweep, packed and fleet jobs share one lifecycle in two steps:
+  :meth:`JobManager._begin` (queue wait, ``leased``, ``solving``) and
+  :meth:`JobManager._settle` (``solved``, finalize and store, then
+  ``done`` or ``failed``); a fleet job begins at its first lease and
+  settles when a node's result is accepted or its retries run out;
+* best-effort cancellation: a queued job is dropped before it runs (a
+  fleet job until a node leases it), a running job finishes (inline
+  solves cannot be interrupted).
 
 Thread-safety: all job/queue state is guarded by one condition
-variable; workers run fully in parallel whether capture is on or off.
+variable (an ``RLock``: the coordinator calls back into the manager
+under it); workers run fully in parallel whether capture is on or off.
 
 Observability (this PR's substrate; see docs/observability.md):
 
@@ -52,11 +63,13 @@ Observability (this PR's substrate; see docs/observability.md):
   (``service.job`` → ``solve`` / ``finalize`` / ``store``) and its solve
   in one :func:`repro.obs.capture` scope.  Under deep tracing the
   ``service.job`` span is pinned to the job's context, so pool-worker
-  and fleet-node snapshots merged into the scope parent under the
-  originating request's span.  On exit the scope's snapshot goes to
-  exactly one place: ``trace_sink`` (the server's absorb hook) under
-  deep tracing, the process capture otherwise.  One request thus
-  yields one connected span tree.
+  snapshots merged into the scope parent under the originating
+  request's span; a fleet lease carries the context of the job's
+  ``solve`` span (:meth:`JobManager._solve_ctx`), and settling opens
+  that span with it, so a node's snapshot re-parents the same way.  On
+  exit the scope's snapshot goes to exactly one place: ``trace_sink``
+  (the server's absorb hook) under deep tracing, the process capture
+  otherwise.  One request thus yields one connected span tree.
 """
 
 import contextlib
@@ -69,9 +82,10 @@ from repro.harness import faults as fault_mod
 from repro.harness.checkpoint import payload_to_jsonable
 from repro.harness.leases import LeaseQueue, LeaseTask
 from repro.harness.runner import JobError, run_jobs
-from repro.obs import OBS, TraceContext, capture, merge_snapshot
+from repro.obs import OBS, capture, merge_snapshot
 from repro.service.api import request_to_job
 from repro.service.errors import (
+    ConflictError,
     NotFoundError,
     QueueFullError,
     ServiceUnavailableError,
@@ -105,7 +119,7 @@ class Job:
         self.finished_at = None
         self.cached = False
         self.done_event = threading.Event()
-        self.trace = None  # TraceContext wire dict of the job's span
+        self.trace = None  # TraceContext of the job's span
 
     @property
     def finished(self):
@@ -127,8 +141,8 @@ class Job:
             out["error"] = self.error
         if self.trace is not None:
             out["trace"] = {
-                "trace_id": self.trace.get("trace"),
-                "request_id": self.trace.get("request"),
+                "trace_id": self.trace.trace_id,
+                "request_id": self.trace.request_id,
             }
         return out
 
@@ -137,14 +151,16 @@ class _QueuedJob(LeaseTask):
     """An admitted :class:`Job` in the manager's queue.
 
     ``job`` is its :class:`~repro.harness.runner.SuiteJob`; a sweep has
-    none and never packs.
+    none and never packs.  ``started`` is the ``time.perf_counter``
+    reading its solve time counts from (its first grant).
     """
 
-    __slots__ = ("owner",)
+    __slots__ = ("owner", "started")
 
     def __init__(self, owner, suite_job):
         super().__init__(suite_job, 0)
         self.owner = owner
+        self.started = None
         if suite_job is None:
             self.pack_key = None
 
@@ -191,9 +207,15 @@ class JobManager:
         # parent its spans under.
         self.megabatch = isolation == "inline" and not self.tracing
 
+        # An RLock underneath: the coordinator calls back in holding it.
         self._cond = threading.Condition()
-        # Admitted jobs not yet running; attempts are counted by run_jobs.
-        self._queue = LeaseQueue(retries=0, backoff=0.0)
+        if self.fleet is None:
+            # Admitted jobs not yet running; run_jobs counts the attempts.
+            self._queue = LeaseQueue(retries=0, backoff=0.0)
+        else:
+            # The fleet's one queue: nodes lease from it, it counts attempts.
+            self._queue = LeaseQueue(fleet.retries, fleet.backoff, pack=True)
+            fleet.bind(self)
         self._jobs = {}                 # id -> Job (bounded; see _evict)
         self._inflight = {}             # key -> queued/running Job
         self._finished_order = deque()  # ids of finished jobs, oldest first
@@ -216,10 +238,8 @@ class JobManager:
 
     def _emit(self, job, event, **attrs):
         """One lifecycle event, stamped with the job's trace context."""
-        if self.events is None:
-            return
-        ctx = TraceContext.from_wire(job.trace) if job.trace else None
-        self.events.emit(event, job_id=job.id, ctx=ctx, **attrs)
+        if self.events is not None:
+            self.events.emit(event, job_id=job.id, ctx=job.trace, **attrs)
 
     # -- lifecycle -----------------------------------------------------
     def start(self):
@@ -227,6 +247,8 @@ class JobManager:
             if self._running:
                 return self
             self._running = True
+        if self.fleet is not None:
+            return self  # fleet nodes solve; the coordinator leases
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop, name=f"repro-service-worker-{index}",
@@ -277,9 +299,10 @@ class JobManager:
     def stop(self, timeout=5.0):
         """Stop accepting work and join the worker threads.
 
-        Queued jobs are marked cancelled; a job already running finishes
-        (inline execution cannot be interrupted) but its worker exits
-        right after.
+        Queued jobs (and fleet jobs waiting out a retry backoff) are
+        marked cancelled; a job already running finishes (inline
+        execution cannot be interrupted) but its worker exits right
+        after.
         """
         with self._cond:
             self._running = False
@@ -310,6 +333,11 @@ class JobManager:
         (when the server attached one): the job's own span context is
         derived from it, so everything the job records parents under
         the originating request.
+
+        Under fleet isolation a sweep is refused with
+        :class:`ConflictError` (HTTP 409) unless the store holds it:
+        the coordinator solves nothing itself, and a node runs jobs,
+        not sweeps.
         """
         with self._cond:
             if self._draining:
@@ -321,7 +349,7 @@ class JobManager:
             with self._cond:
                 job = Job(key, normalized)
                 if ctx is not None:
-                    job.trace = ctx.child("job").to_wire()
+                    job.trace = ctx.child("job")
                 job.state = "done"
                 job.cached = True
                 job.payload = stored
@@ -334,6 +362,11 @@ class JobManager:
             self._emit(job, "cached")
             self._emit(job, "done", cached=True)
             return job, "cached"
+        if self.fleet is not None and normalized.get("kind") == "sweep":
+            raise ConflictError(
+                "sweeps are not solved under fleet isolation; submit the "
+                "grid's points as partition jobs"
+            )
 
         with self._cond:
             existing = self._inflight.get(key)
@@ -354,11 +387,14 @@ class JobManager:
                                  else request_to_job(normalized))
                     job = Job(key, normalized)
                     if ctx is not None:
-                        job.trace = ctx.child("job").to_wire()
+                        job.trace = ctx.child("job")
                     self._jobs[job.id] = job
                     self._inflight[key] = job
-                    self._queue.submit(_QueuedJob(job, suite_job))
-                    depth = len(self._queue.pending)
+                    task = self._queue.submit(_QueuedJob(job, suite_job))
+                    # Announced before any grant can see it.
+                    self._emit(job, "queued", queue_depth=len(self._queue.pending))
+                    if self.fleet is not None:
+                        self.fleet.queued_locked(task)
                     self._inc_locked("service.jobs.submitted")
                     self._cond.notify()
         if deduped is not None:
@@ -369,7 +405,6 @@ class JobManager:
                 self.events.emit("rejected", ctx=ctx, key=key,
                                  queue_size=self.queue_size)
             raise rejection
-        self._emit(job, "queued", queue_depth=depth)
         return job, "queued"
 
     def _inc_locked(self, name, amount=1):
@@ -393,7 +428,7 @@ class JobManager:
             return len(self._queue.pending)
 
     def running_count(self):
-        """Jobs currently executing on a worker thread."""
+        """Jobs granted and not yet finished (on a thread or a node)."""
         with self._cond:
             return sum(
                 1 for job in self._inflight.values() if job.state == "running"
@@ -402,9 +437,10 @@ class JobManager:
     def cancel(self, job_id):
         """Best-effort cancel; returns the job.
 
-        A queued job is dropped and marked ``cancelled``.  A running job
-        completes normally — inline execution cannot be interrupted — and
-        finished jobs are left untouched.
+        A queued job is dropped and marked ``cancelled`` (a fleet job
+        stays queued until a node leases it).  A running job completes
+        normally — inline execution cannot be interrupted — and finished
+        jobs are left untouched.
         """
         cancelled = False
         with self._cond:
@@ -446,8 +482,24 @@ class JobManager:
             return self.fault_plan
         return fault_mod.plan_from_env()
 
-    def _next_batch(self):
+    def _grant_locked(self, now, limit=None):
         """Lease the queue's next grant: one job, or a packed group.
+
+        A job granted for the first time starts ``running`` here, under
+        the lock, so :meth:`cancel` can no longer drop it; its solve time
+        counts from here (``task.started``).
+        """
+        batch = self._queue.grant(now, limit)
+        started = time.perf_counter()
+        for task in batch:
+            if task.attempts == 1:
+                task.owner.state = "running"
+                task.owner.started_at = now
+                task.started = started
+        return batch
+
+    def _next_batch(self):
+        """A worker thread's next grant; ``None`` once stopped.
 
         The queue packs only under inline isolation without deep
         tracing or a fault plan (chaos semantics are per job), and only
@@ -462,13 +514,8 @@ class JobManager:
                 return None
             self._busy += 1
             self._queue.pack = pack
-            now = time.time()
-            batch = self._queue.grant(
-                now, limit=1 if self._busy < self.workers else None)
-            for task in batch:
-                task.owner.state = "running"
-                task.owner.started_at = now
-            return batch
+            return self._grant_locked(
+                time.time(), limit=1 if self._busy < self.workers else None)
 
     def _worker_loop(self):
         while True:
@@ -483,9 +530,18 @@ class JobManager:
 
     def _trace_ctx(self, job):
         """The job's span context under deep tracing, else ``None``."""
-        if not self.tracing or self.trace_sink is None or job.trace is None:
+        if not self.tracing or self.trace_sink is None:
             return None
-        return TraceContext.from_wire(job.trace)
+        return job.trace
+
+    def _solve_ctx(self, job):
+        """The context of the job's ``solve`` span under deep tracing.
+
+        A pinned child of the job's context, so a fleet lease can carry
+        it before the span opens (:meth:`settle_lease` opens it).
+        """
+        ctx = self._trace_ctx(job)
+        return None if ctx is None else ctx.child("solve")
 
     @contextlib.contextmanager
     def _scope(self, ctx, origin):
@@ -511,15 +567,14 @@ class JobManager:
                 merge_snapshot(snap)
 
     def _solve(self, batch):
-        """The lifecycle's one kind-specific step.
+        """The local lifecycle's one kind-specific step.
 
         Returns the batch's payloads (``None`` for a job the runner gave
         up on), the failure messages of such jobs by batch position, the
         phase histograms the solve time goes to and extra ``solved``
         event attributes.  Partition, plan and ECO jobs run through one
-        :func:`run_jobs` call, which packs a granted group, or are
-        dispatched to the fleet.  A sweep fans its grid through
-        :func:`~repro.harness.pareto.execute_sweep`.
+        :func:`run_jobs` call, which packs a granted group.  A sweep fans
+        its grid through :func:`~repro.harness.pareto.execute_sweep`.
         """
         request = batch[0].owner.request
         run_kwargs = dict(timeout=self.timeout, retries=self.retries,
@@ -541,14 +596,15 @@ class JobManager:
             return [payload], {}, ("service.job.sweep_seconds",), solved
         errors = {}
         with OBS.trace.span("solve"):
-            if self.isolation == "fleet":
-                payloads = [self._solve_fleet(batch[0].job, batch[0].owner)]
-            else:
-                try:
-                    payloads = run_jobs([task.job for task in batch], jobs=1,
-                                        **run_kwargs)
-                except JobError as error:
-                    payloads, errors = error.payloads, error.errors
+            try:
+                payloads = run_jobs([task.job for task in batch], jobs=1,
+                                    **run_kwargs)
+            except JobError as error:
+                payloads, errors = error.payloads, error.errors
+        return self._solved(request, payloads, errors)
+
+    def _solved(self, request, payloads, errors):
+        """:meth:`_solve`'s result for solved partition, plan or ECO jobs."""
         if request.get("kind") != "eco":
             return payloads, errors, ("service.job.solve_seconds",), {}
         # Edit-to-answer phase histogram + warm/cold split of the
@@ -561,71 +617,45 @@ class JobManager:
         return (payloads, errors,
                 ("service.job.solve_seconds", "service.job.eco_seconds"), {})
 
-    def _solve_fleet(self, suite_job, job):
-        """Dispatch one job to the fleet and wait for its resolution.
-
-        The job is queued on the
-        :class:`~repro.fleet.coordinator.FleetCoordinator`, which owns
-        leases, heartbeat expiry, retry/backoff accounting and payload
-        validation, and this worker thread blocks until a worker node
-        resolves it.  Fault plans are *not* applied coordinator-side —
-        worker nodes honor their own ``REPRO_FAULT`` environment, which
-        is the whole point of the worker-kill chaos story.
-
-        Raises :class:`ReproError` when the fleet exhausted the job's
-        retries (the normal failed-job path picks that up).  Under deep
-        tracing the lease carries the live ``solve`` span's context and
-        the node's snapshot merges into the job's scope.  The wait is
-        bounded only when an explicit ``timeout`` was configured — a
-        queue deeper than the worker pool legitimately parks jobs for
-        longer than any per-attempt budget.
-        """
-        ctx = OBS.trace.context if self.tracing else None
-        task = self.fleet.submit(
-            job.key, suite_job,
-            trace=ctx.to_wire() if ctx is not None else job.trace,
-            tracing=ctx is not None, job_id=job.id,
-        )
-        deadline = None
-        if self.timeout is not None:
-            per_attempt = self.fleet.lease_ttl + float(self.timeout)
-            deadline = (self.fleet.retries + 1) * per_attempt + 10.0
-        payload, snapshot = task.wait(timeout=deadline)
-        if snapshot is not None:
-            merge_snapshot(snapshot)
-        return payload
-
     def _execute(self, batch):
-        """Run one granted job, or a packed group, through the lifecycle.
+        """Run one granted job, or a packed group, through the lifecycle."""
+        self._begin(batch)
+        self._settle(batch, lambda: self._solve(batch))
 
-        Queue wait and ``leased``; then, in the capture scope and the
-        ``service.job`` span, ``solving``, the solve step (:meth:`_solve`,
-        the only part that differs by kind), and per solved job
-        ``solved`` plus its ``finalize`` and ``store`` phases; then
-        ``done``.  Outcomes are per job: a job the runner gave up on, or
-        one whose lifecycle raised before it finished, ends ``failed``,
-        and the rest of its group still ends ``done``.
-        """
+    def _begin(self, batch):
+        """The lifecycle's first step for freshly granted tasks: queue
+        wait and ``leased``, then ``solving``."""
         jobs = [task.owner for task in batch]
         for job in jobs:
             queue_wait = max(0.0, job.started_at - job.submitted_at)
             self._observe("service.job.queue_wait_seconds", queue_wait)
             self._emit(job, "leased", queue_wait_s=round(queue_wait, 6))
+        group = {"batched": True, "group_size": len(jobs)} if len(jobs) > 1 else {}
+        for job in jobs:
+            self._emit(job, "solving", **group)
+
+    def _settle(self, batch, solve):
+        """The lifecycle's last step: settle ``batch`` from ``solve()``.
+
+        In the capture scope and the ``service.job`` span, ``solve()``
+        returns what :meth:`_solve` does; then per solved job ``solved``
+        plus its ``finalize`` and ``store`` phases; then ``done``.
+        Outcomes are per job: a job the solve gave up on, or one whose
+        lifecycle raised before it finished, ends ``failed``, and the
+        rest of its group still ends ``done``.  Runs without the lock.
+        """
+        jobs = [task.owner for task in batch]
         head = jobs[0]
         packed = len(jobs) > 1
         ctx = self._trace_ctx(head)
         origin = f"service/{head.id}" + ("/batch" if packed else "")
-        group = {"batched": True, "group_size": len(jobs)} if packed else {}
         results, errors = {}, {}   # batch position -> JSON payload / message
         try:
             with self._scope(ctx, origin), OBS.trace.span(
                     "service.job", ctx=ctx, job=head.id,
                     circuit=head.request.get("circuit")):
-                for job in jobs:
-                    self._emit(job, "solving", **group)
-                started = time.perf_counter()
-                payloads, errors, histograms, solved = self._solve(batch)
-                solve_s = time.perf_counter() - started
+                payloads, errors, histograms, solved = solve()
+                solve_s = time.perf_counter() - batch[0].started
                 for index, (job, payload) in enumerate(zip(jobs, payloads)):
                     if index in errors:
                         continue
@@ -651,6 +681,25 @@ class JobManager:
                 self._inc_locked("service.jobs.completed" if state == "done"
                                  else "service.jobs.failed")
             self._emit(job, state, **attrs)
+
+    def settle_lease(self, task, error=None):
+        """Settle a fleet job the queue resolved (outside the lock).
+
+        The task is ``done`` with a node's validated payload, or, when
+        ``error`` is given, its retries ran out.  The ``solve`` span
+        merges the node's snapshot under the context its lease carried.
+        """
+        job = task.owner
+
+        def solve():
+            with OBS.trace.span("solve", ctx=self._solve_ctx(job)):
+                if task.snapshot is not None:
+                    merge_snapshot(task.snapshot)
+                if error is not None:
+                    raise ReproError(error)
+            return self._solved(job.request, [task.payload], {})
+
+        self._settle([task], solve)
 
     def _finalize(self, job, payload):
         """One job's ``finalize`` and ``store`` phases; its JSON payload.

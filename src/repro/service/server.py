@@ -39,8 +39,9 @@ under one lock (:meth:`PartitionService.record_request`); under deep
 tracing each job's capture-scope snapshot is folded in under the same
 lock (:meth:`PartitionService.absorb`; see :mod:`repro.service.jobs`).
 
-Trace context: unless ``REPRO_TRACE_CONTEXT`` is off, every request
-gets a :class:`~repro.obs.context.TraceContext` — continued from an
+Trace context: unless ``REPRO_TRACE_CONTEXT`` is off (read once, when
+the service is built), every request gets a
+:class:`~repro.obs.context.TraceContext` — continued from an
 ``X-Repro-Trace`` header when the client sent one, fresh otherwise —
 that is echoed on the response, pinned to the request span and carried
 into the job (:meth:`JobManager.submit`), so one POST yields one
@@ -292,14 +293,9 @@ class PartitionService:
         if isolation == "fleet":
             from repro.fleet.coordinator import FleetCoordinator
 
-            self.fleet = FleetCoordinator(
-                lease_ttl=lease_ttl,
-                heartbeat=heartbeat,
-                retries=retries,
-                backoff=backoff,
-                metrics=self.metrics,
-                events=self.events if self.events.enabled else None,
-            )
+            self.fleet = FleetCoordinator(lease_ttl=lease_ttl,
+                                          heartbeat=heartbeat,
+                                          retries=retries, backoff=backoff)
         self.manager = JobManager(
             workers=resolve_workers(workers),
             queue_size=resolve_queue_size(queue_size),
@@ -317,10 +313,13 @@ class PartitionService:
             trace_sink=self.absorb,
         )
         self.requests = _RequestMemo()
+        self.trace_contexts = context_enabled()  # REPRO_TRACE_CONTEXT
         self.started_at = time.time()
 
     def start(self):
         self.manager.start()
+        if self.fleet is not None:
+            self.fleet.start()
         return self
 
     def stop(self):
@@ -686,16 +685,15 @@ class PartitionService:
     def fleet_workers(self):
         return 200, self._require_fleet().workers_snapshot()
 
+    def _sample_gauges_locked(self):
+        """Set the live gauges at scrape time, so a metrics route reports
+        the instantaneous queue/worker state, not a stale value."""
+        self.metrics.gauge("service.queue.depth").set(self.manager.queue_depth())
+        self.metrics.gauge("service.jobs.inflight").set(self.manager.running_count())
+
     def metrics_payload(self):
         with self._telemetry_lock:
-            # Live gauges, sampled at scrape time so the route reports
-            # the instantaneous queue/worker state, not a stale value.
-            self.metrics.gauge("service.queue.depth").set(
-                self.manager.queue_depth()
-            )
-            self.metrics.gauge("service.jobs.inflight").set(
-                self.manager.running_count()
-            )
+            self._sample_gauges_locked()
             metrics = self.metrics.as_dict()
             spans = self.tracer.as_dict()
         return 200, {
@@ -709,12 +707,7 @@ class PartitionService:
         """The same state as :meth:`metrics_payload`, rendered in
         Prometheus text exposition format."""
         with self._telemetry_lock:
-            self.metrics.gauge("service.queue.depth").set(
-                self.manager.queue_depth()
-            )
-            self.metrics.gauge("service.jobs.inflight").set(
-                self.manager.running_count()
-            )
+            self._sample_gauges_locked()
             text = render_exposition(
                 self.metrics,
                 tracer=self.tracer,
@@ -1125,7 +1118,7 @@ class _Handler:
         parses, otherwise roots a fresh trace — so every request has a
         request id even when the client sent nothing.
         """
-        if not context_enabled():
+        if not self.service.trace_contexts:
             return None
         incoming = TraceContext.from_header(self.headers.get(_TRACE_KEY))
         if incoming is not None:

@@ -266,9 +266,9 @@ def empty_diff_probe(planes, seed):
 
 
 def run_benchmark(circuits, planes, repeats, seed, fractions, quick):
-    from repro.core.incremental import resolve_eco_quality_eps
+    from repro import envcfg
 
-    quality_eps = resolve_eco_quality_eps()
+    quality_eps = envcfg.resolve("REPRO_ECO_QUALITY_EPS")
     rows = []
     for name in circuits:
         rows.extend(

@@ -223,7 +223,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     from repro.circuits.suite import SUITE_NAMES
-    from repro.harness.runner import resolve_jobs
+    from repro import envcfg
 
     circuits = args.circuits or list(SUITE_NAMES)
     jobs = args.jobs
@@ -231,7 +231,7 @@ def main(argv=None):
         circuits = args.circuits or list(QUICK_CIRCUITS)
         jobs = jobs or 2
         args.repeats = 1
-    jobs = resolve_jobs(jobs)
+    jobs = envcfg.resolve("REPRO_JOBS", jobs)
     if jobs < 2:
         # The headline comparison needs an actual pool; 2 workers still
         # exercise the fan-out/merge machinery on a single core.

@@ -115,7 +115,8 @@ def empty_diff(circuit):
 
 
 def probe_eco(cache_dir):
-    from repro.core.incremental import quality_ok, resolve_eco_quality_eps
+    from repro import envcfg
+    from repro.core.incremental import quality_ok
 
     request = {"circuit": "KSA16", "num_planes": 4, "seed": 2020}
     env = {"REPRO_CACHE_DIR": cache_dir}
@@ -136,7 +137,7 @@ def probe_eco(cache_dir):
         info = eco_raw["eco"]
         check(info["mode"] == "warm",
               f"2-gate edit re-solved warm (region={info['region_gates']} gates)")
-        eps = resolve_eco_quality_eps()
+        eps = envcfg.resolve("REPRO_ECO_QUALITY_EPS")
         check(quality_ok(info["cost"], info["reference_cost"], eps),
               f"warm cost {info['cost']:.6f} passes the quality guard "
               f"(reference {info['reference_cost']:.6f}, eps={eps})")

@@ -8,7 +8,7 @@ and the gradient flavor.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.utils.errors import PartitionError
 
@@ -119,7 +119,6 @@ class PartitionConfig:
     multilevel_fine_iterations: int = 20
     multilevel_round_slack: float = 0.02
     seed: int = 2020
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         for label, value in (("c1", self.c1), ("c2", self.c2), ("c3", self.c3), ("c4", self.c4)):

@@ -6,7 +6,7 @@ partitioning literature both observe that assignment quality survives
 local perturbation).  :func:`incremental_partition` exploits that:
 
 1. Expand the touched gates into a *perturbed region* — every gate
-   within :func:`resolve_eco_halo` undirected hops (BFS over the edited
+   within ``REPRO_ECO_HALO`` undirected hops (BFS over the edited
    netlist).
 2. Collapse everything **outside** the region into K pinned per-plane
    super-gates carrying the aggregate bias/area of their plane, so the
@@ -24,7 +24,7 @@ Two guards keep the fast path honest, both falling back to a cold
 :func:`~repro.core.partitioner.partition`:
 
 * **Size threshold** — when the region exceeds
-  :func:`resolve_eco_threshold` of the netlist, locality is gone and a
+  ``REPRO_ECO_THRESHOLD`` of the netlist, locality is gone and a
   cold solve is both better and barely slower.
 * **Quality guard** — when the warm result's integer cost regresses
   past ``(1 + eps)`` of the deterministic carried-forward reference
@@ -32,7 +32,9 @@ Two guards keep the fast path honest, both falling back to a cold
   the edit invalidated the old structure; solve cold.
 
 The returned ``info`` dict records which path ran and why, and the
-service exports it as ``service.eco.*`` counters (docs/eco.md).
+service exports it as ``service.eco.*`` counters (docs/eco.md).  The
+three ``REPRO_ECO_*`` knobs resolve through :func:`repro.envcfg.resolve`
+and raise :class:`~repro.utils.errors.PartitionError` when out of bound.
 """
 
 import numpy as np
@@ -48,8 +50,6 @@ from repro.obs import OBS
 from repro.utils.errors import PartitionError
 from repro.utils.rng import make_rng, spawn_rngs
 
-#: Default halo radius (hops) around touched gates.
-DEFAULT_ECO_HALO = 2
 #: Iteration budget of the warm region polish.  The carried assignment
 #: is already near-optimal, so a short descent converges; the quality
 #: guard catches the exceptions and re-solves cold.
@@ -58,62 +58,10 @@ DEFAULT_ECO_ITERATIONS = 12
 #: re-randomized explorer.  More restarts almost never beat the polish
 #: on a local edit (the guard protects the rare case they would).
 DEFAULT_ECO_RESTARTS = 2
-#: Default maximum region fraction before the warm path solves cold.
-DEFAULT_ECO_THRESHOLD = 0.25
-#: Default quality-guard tolerance.
-DEFAULT_ECO_QUALITY_EPS = 0.05
 
 #: Absolute slop added to every cost comparison so exactly-equal costs
 #: never trip the guard on floating-point noise.
 _COST_ATOL = 1e-9
-
-
-def resolve_eco_halo(value=None):
-    """Halo radius: explicit ``value``, else REPRO_ECO_HALO, else 2."""
-    if value is not None:
-        halo = int(value)
-    else:
-        halo = envcfg.number(
-            "REPRO_ECO_HALO", int, lambda v: v >= 0, "an integer >= 0"
-        )
-        if halo is None:
-            halo = DEFAULT_ECO_HALO
-    if halo < 0:
-        raise PartitionError(f"ECO halo must be >= 0, got {halo}")
-    return halo
-
-
-def resolve_eco_threshold(value=None):
-    """Region-size threshold: ``value``, else REPRO_ECO_THRESHOLD, else 0.25."""
-    if value is not None:
-        threshold = float(value)
-    else:
-        threshold = envcfg.number(
-            "REPRO_ECO_THRESHOLD", float, lambda v: 0 < v <= 1,
-            "a fraction in (0, 1]",
-        )
-        if threshold is None:
-            threshold = DEFAULT_ECO_THRESHOLD
-    if not 0 < threshold <= 1:
-        raise PartitionError(
-            f"ECO threshold must be a fraction in (0, 1], got {threshold}"
-        )
-    return threshold
-
-
-def resolve_eco_quality_eps(value=None):
-    """Quality guard: ``value``, else REPRO_ECO_QUALITY_EPS, else 0.05."""
-    if value is not None:
-        eps = float(value)
-    else:
-        eps = envcfg.number(
-            "REPRO_ECO_QUALITY_EPS", float, lambda v: v >= 0, "a float >= 0"
-        )
-        if eps is None:
-            eps = DEFAULT_ECO_QUALITY_EPS
-    if eps < 0:
-        raise PartitionError(f"ECO quality eps must be >= 0, got {eps}")
-    return eps
 
 
 def quality_ok(candidate_cost, reference_cost, eps):
@@ -238,9 +186,9 @@ def incremental_partition(
     """
     if config is None:
         config = PartitionConfig()
-    halo = resolve_eco_halo(halo)
-    threshold = resolve_eco_threshold(threshold)
-    quality_eps = resolve_eco_quality_eps(quality_eps)
+    halo = envcfg.resolve("REPRO_ECO_HALO", halo)
+    threshold = envcfg.resolve("REPRO_ECO_THRESHOLD", threshold)
+    quality_eps = envcfg.resolve("REPRO_ECO_QUALITY_EPS", quality_eps)
 
     if netlist.num_gates == 0:
         raise PartitionError(f"netlist {netlist.name!r} has no gates")

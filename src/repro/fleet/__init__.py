@@ -19,23 +19,11 @@ bitwise payloads as a clean single-node run.  See docs/fleet.md.
 """
 
 from repro.fleet.coordinator import FleetCoordinator
-from repro.fleet.protocol import (
-    FLEET_PROTOCOL_VERSION,
-    resolve_heartbeat,
-    resolve_lease_ttl,
-    resolve_max_inflight,
-    resolve_poll,
-    resolve_worker_id,
-)
+from repro.fleet.protocol import FLEET_PROTOCOL_VERSION
 from repro.fleet.worker import FleetWorker
 
 __all__ = [
     "FLEET_PROTOCOL_VERSION",
     "FleetCoordinator",
     "FleetWorker",
-    "resolve_heartbeat",
-    "resolve_lease_ttl",
-    "resolve_max_inflight",
-    "resolve_poll",
-    "resolve_worker_id",
 ]

@@ -22,9 +22,14 @@ fleet job fails exactly like a local one:
 What this class adds is what HTTP workers need on top of the queue: a
 worker roster, wire-serialized grants (compatible jobs are granted
 together, up to the worker's ``max_jobs``), heartbeats that extend a
-lease's deadline, and a reaper thread that charges a lease whose
-deadline passes (worker death, hang, network partition) as a
-``timed-out`` attempt.  The job lifecycle stays the manager's: a job's
+lease's deadline by one TTL, and a reaper thread that charges a lease
+whose deadline passes (worker death, hang, network partition) as a
+``timed-out`` attempt.  When the manager has a ``timeout``, a grant
+also records a solve deadline, ``now + timeout``: heartbeats never
+extend a lease past it, so a node that keeps beating while its solve
+spins is charged ``timed-out`` there too, and its late report is
+``stale``.  ``--timeout`` thus bounds a fleet attempt as it bounds a
+local one.  The job lifecycle stays the manager's: a job's
 first grant begins it, and an accepted result or exhausted retries
 settle it (:meth:`JobManager.settle_lease
 <repro.service.jobs.JobManager.settle_lease>`), both outside the lock.
@@ -34,15 +39,15 @@ lease table, the worker roster and the job table; lease requests
 long-poll on it so work is handed out the moment it is queued.
 """
 
+import math
 import threading
 import time
 import uuid
 
+from repro import envcfg
 from repro.harness.checkpoint import payload_from_jsonable
 from repro.harness.leases import JOB_ERROR_KINDS
-from repro.harness.runner import resolve_backoff, resolve_retries
 from repro.harness.wire import job_to_wire
-from repro.fleet.protocol import resolve_heartbeat, resolve_lease_ttl
 from repro.utils.errors import ReproError
 
 #: Upper bound on one lease long-poll, whatever the worker asked for.
@@ -52,18 +57,16 @@ MAX_LEASE_WAIT = 30.0
 class FleetCoordinator:
     """See the module docstring."""
 
-    def __init__(self, lease_ttl=None, heartbeat=None, retries=None,
-                 backoff=None, reap_interval=None):
-        self.lease_ttl = resolve_lease_ttl(lease_ttl)
-        self.heartbeat_s = resolve_heartbeat(heartbeat, self.lease_ttl)
-        self.retries = resolve_retries(retries)
-        self.backoff = resolve_backoff(backoff)
+    def __init__(self, lease_ttl=None, reap_interval=None):
+        self.lease_ttl = envcfg.resolve("REPRO_FLEET_LEASE_TTL", lease_ttl)
+        self.heartbeat_s = self.lease_ttl / 3.0
         self._reap_interval = (
             reap_interval if reap_interval is not None
             else max(0.05, min(1.0, self.lease_ttl / 4.0))
         )
         self._manager = None          # the bound JobManager (see bind)
-        self._leases = {}             # lease id -> (task, worker_id, deadline)
+        # lease id -> (task, worker id, deadline, solve deadline)
+        self._leases = {}
         self._workers = {}            # worker id -> roster record
         self._running = False
         self._reaper = None
@@ -72,6 +75,7 @@ class FleetCoordinator:
         """Lease from ``manager``'s queue under its lock, and count and
         emit into its metrics and event log (its constructor calls this)."""
         self._manager = manager
+        self.timeout = manager.timeout  # None: no solve deadline
         self._cond = manager._cond
         self._queue = manager._queue
         self.metrics = manager.metrics
@@ -150,7 +154,9 @@ class FleetCoordinator:
         for task in self._manager._grant_locked(now, limit):
             job = task.owner
             lease_id = uuid.uuid4().hex[:16]
-            self._leases[lease_id] = (task, worker_id, now + self.lease_ttl)
+            solve_by = math.inf if self.timeout is None else now + self.timeout
+            self._leases[lease_id] = (
+                task, worker_id, min(now + self.lease_ttl, solve_by), solve_by)
             record["leases"].add(lease_id)
             self._inc_locked("fleet.lease.granted")
             solve_ctx = self._manager._solve_ctx(job)
@@ -209,7 +215,8 @@ class FleetCoordinator:
         return [grant for _task, grant in grants]
 
     def heartbeat(self, worker_id, lease_ids):
-        """Extend the deadlines of a worker's live leases."""
+        """Extend the deadlines of a worker's live leases by one TTL,
+        never past a lease's solve deadline."""
         if not worker_id:
             raise ReproError("heartbeats must carry a worker id")
         extended, unknown = [], []
@@ -221,8 +228,9 @@ class FleetCoordinator:
                 if entry is None:
                     unknown.append(lease_id)
                     continue
-                task, owner, _deadline = entry
-                self._leases[lease_id] = (task, owner, now + self.lease_ttl)
+                task, owner, _deadline, solve_by = entry
+                self._leases[lease_id] = (
+                    task, owner, min(now + self.lease_ttl, solve_by), solve_by)
                 extended.append(lease_id)
             self._inc_locked("fleet.heartbeats")
         return {"extended": extended, "unknown": unknown,
@@ -246,7 +254,7 @@ class FleetCoordinator:
             if entry is None:
                 self._inc_locked("fleet.complete.stale")
                 return "stale"
-            task, _owner, _deadline = entry
+            task = entry[0]
             record["leases"].discard(lease_id)
             self._gauge_locked(f"fleet.worker.{worker_id}.leases",
                                len(record["leases"]))
@@ -309,7 +317,7 @@ class FleetCoordinator:
                 for f in task.failures
             )
             error = (f"fleet job failed after {task.attempts} attempt(s) "
-                     f"({self.retries} retries): {history}")
+                     f"({self._manager.retries} retries): {history}")
         self._manager.settle_lease(task, error)
 
     # -- reaper ---------------------------------------------------------
@@ -318,10 +326,10 @@ class FleetCoordinator:
         now = time.time() if now is None else now
         exhausted = []
         with self._cond:
-            expired = [lease_id for lease_id, (_t, _w, deadline)
-                       in self._leases.items() if deadline < now]
+            expired = [lease_id for lease_id, entry in self._leases.items()
+                       if entry[2] < now]
             for lease_id in expired:
-                task, worker_id, _deadline = self._leases.pop(lease_id)
+                task, worker_id, deadline, solve_by = self._leases.pop(lease_id)
                 record = self._workers.get(worker_id)
                 if record is not None:
                     record["leases"].discard(lease_id)
@@ -329,10 +337,12 @@ class FleetCoordinator:
                     self._gauge_locked(f"fleet.worker.{worker_id}.leases",
                                        len(record["leases"]))
                 self._inc_locked("fleet.lease.expired")
+                reason = (f"passed its solve deadline ({self.timeout} s)"
+                          if deadline == solve_by else
+                          f"expired after {self.lease_ttl} s without a heartbeat")
                 if self._fail_attempt_locked(
                     task, "timed-out",
-                    f"lease {lease_id} on worker {worker_id} expired after "
-                    f"{self.lease_ttl} s without a heartbeat",
+                    f"lease {lease_id} on worker {worker_id} {reason}",
                 ) == "failed":
                     exhausted.append(task)
             if expired:

@@ -41,15 +41,11 @@ import os
 import threading
 import time
 
+from repro import envcfg
 from repro.harness import faults as fault_mod
 from repro.harness.checkpoint import payload_to_jsonable
 from repro.harness.runner import JobError, run_jobs
 from repro.harness.wire import job_from_wire
-from repro.fleet.protocol import (
-    resolve_max_inflight,
-    resolve_poll,
-    resolve_worker_id,
-)
 from repro.obs import TraceContext, capture
 from repro.utils.errors import ReproError
 
@@ -62,9 +58,9 @@ class FleetWorker:
         from repro.service.client import ServiceClient
 
         self.client = ServiceClient(coordinator_url)
-        self.worker_id = resolve_worker_id(worker_id)
-        self.max_inflight = resolve_max_inflight(max_inflight)
-        self.poll = resolve_poll(poll)
+        self.worker_id = envcfg.resolve("REPRO_FLEET_WORKER_ID", worker_id)
+        self.max_inflight = envcfg.resolve("REPRO_FLEET_MAX_INFLIGHT", max_inflight)
+        self.poll = envcfg.resolve("REPRO_FLEET_POLL", poll)
         self.verbose = verbose
         if fault_plan is None:
             # Claim the node's fault plan for ourselves: the runner
@@ -136,7 +132,7 @@ class FleetWorker:
             # A hung node is a *silent* failure: freeze heartbeats too,
             # so the coordinator sees lease expiry, not a clean report.
             self._frozen.set()
-            time.sleep(fault_mod.hang_seconds())
+            time.sleep(envcfg.resolve("REPRO_FAULT_HANG_SECONDS"))
             return "failed"
         if kind == "kill":
             fault_mod.raise_fault("kill")  # os._exit: no cleanup, no report

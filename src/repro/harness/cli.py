@@ -36,7 +36,7 @@ import os
 import signal
 import sys
 
-from repro import obs
+from repro import envcfg, obs
 from repro.circuits.suite import PAPER_TABLE1, SUITE_NAMES, build_circuit
 from repro.core.config import ENGINES, PartitionConfig
 from repro.harness import figures, tables
@@ -92,11 +92,7 @@ def _add_common(parser):
 
 
 def _positive_int(value):
-    """argparse type for ``--jobs``/``--retries``-style counts.
-
-    Rejecting bad values here (instead of deep inside the executor)
-    turns ``--jobs 0`` into a one-line usage error.
-    """
+    """argparse type for counts such as ``--width``."""
     try:
         parsed = int(value)
     except ValueError:
@@ -106,24 +102,22 @@ def _positive_int(value):
     return parsed
 
 
-def _nonnegative_int(value):
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
-    if parsed < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value!r}")
-    return parsed
+def _knob(name):
+    """argparse type of a flag that overrides typed knob ``name``: the
+    value must lie within the knob's declared bound."""
+
+    def parse(value):
+        try:
+            return envcfg.resolve(name, value)
+        except ReproError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    return parse
 
 
-def _positive_float(value):
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from None
-    if not parsed > 0:
-        raise argparse.ArgumentTypeError(f"expected a number > 0, got {value!r}")
-    return parsed
+def _default(name):
+    """Help-text default of a flag that overrides typed knob ``name``."""
+    return f"default: {name} env, else {envcfg.declared(name).default_text}"
 
 
 def _int_list(value):
@@ -155,27 +149,27 @@ def _float_list(value):
 def _add_jobs(parser):
     parser.add_argument(
         "--jobs",
-        type=_positive_int,
+        type=_knob("REPRO_JOBS"),
         default=None,
         metavar="N",
-        help="worker processes (default: REPRO_JOBS env, else min(cpus, 8); "
+        help=f"worker processes ({_default('REPRO_JOBS')}; "
         "1 = run inline; results identical for any value)",
     )
     parser.add_argument(
         "--timeout",
-        type=_positive_float,
+        type=_knob("REPRO_JOB_TIMEOUT"),
         default=None,
         metavar="SECONDS",
-        help="per-job wall-clock limit (default: REPRO_JOB_TIMEOUT env, else "
-        "unlimited); a timed-out job is retried, see docs/robustness.md",
+        help=f"per-job wall-clock limit ({_default('REPRO_JOB_TIMEOUT')}); "
+        "a timed-out job is retried, see docs/robustness.md",
     )
     parser.add_argument(
         "--retries",
-        type=_nonnegative_int,
+        type=_knob("REPRO_RETRIES"),
         default=None,
         metavar="N",
         help="retries per failed job with exponential backoff "
-        "(default: REPRO_RETRIES env, else 2)",
+        f"({_default('REPRO_RETRIES')})",
     )
     parser.add_argument(
         "--checkpoint",
@@ -552,7 +546,6 @@ def _cmd_serve(args):
         backoff=args.backoff,
         isolation=args.isolation,
         lease_ttl=args.lease_ttl,
-        heartbeat=args.heartbeat,
         verbose=args.verbose,
         tracing=args.trace_requests,
     )
@@ -822,8 +815,9 @@ def build_parser():
         help="gradient solver engine",
     )
     sweep_parser.add_argument(
-        "--clock-ghz", type=_positive_float, default=None, metavar="GHZ",
-        help="ERSFQ energy-model clock (default REPRO_SWEEP_CLOCK_GHZ, else 20)",
+        "--clock-ghz", type=_knob("REPRO_SWEEP_CLOCK_GHZ"), default=None,
+        metavar="GHZ",
+        help=f"ERSFQ energy-model clock ({_default('REPRO_SWEEP_CLOCK_GHZ')})",
     )
     sweep_parser.add_argument(
         "--width", type=_positive_int, default=52,
@@ -850,16 +844,18 @@ def build_parser():
         help="gradient solver engine for the cold solves",
     )
     eco_parser.add_argument(
-        "--halo", type=_nonnegative_int, default=None,
-        help="BFS hops around touched gates to re-solve (default 2)",
+        "--halo", type=_knob("REPRO_ECO_HALO"), default=None,
+        help=f"BFS hops around touched gates to re-solve ({_default('REPRO_ECO_HALO')})",
     )
     eco_parser.add_argument(
-        "--threshold", type=float, default=None,
-        help="region fraction above which to fall back to a cold solve (default 0.25)",
+        "--threshold", type=_knob("REPRO_ECO_THRESHOLD"), default=None,
+        help="region fraction above which to fall back to a cold solve "
+        f"({_default('REPRO_ECO_THRESHOLD')})",
     )
     eco_parser.add_argument(
-        "--eps", type=float, default=None,
-        help="quality guard: warm cost may exceed carried cost by this fraction (default 0.05)",
+        "--eps", type=_knob("REPRO_ECO_QUALITY_EPS"), default=None,
+        help="quality guard: warm cost may exceed carried cost by this "
+        f"fraction ({_default('REPRO_ECO_QUALITY_EPS')})",
     )
     eco_parser.add_argument("--json", action="store_true", help="emit the comparison as JSON")
     _add_obs(eco_parser)
@@ -947,46 +943,48 @@ def build_parser():
         "RETRY_AFTER/STORE/ISOLATION configure the service (flags win); "
         "see docs/service.md for the API and the full knob table.",
     )
-    serve_parser.add_argument("--host", default=None, help="bind address (default 127.0.0.1)")
+    serve_parser.add_argument(
+        "--host", default=None,
+        help=f"bind address ({_default('REPRO_SERVICE_HOST')})",
+    )
     serve_parser.add_argument(
         "--port", type=int, default=None,
-        help="TCP port (default 8731; 0 = pick a free port)",
+        help=f"TCP port ({_default('REPRO_SERVICE_PORT')}; 0 = pick a free port)",
     )
     serve_parser.add_argument(
         "--workers", type=int, default=None,
-        help="solve threads of inline/process isolation (default min(cpus, 4))",
+        help="solve threads of inline/process isolation "
+        f"({_default('REPRO_SERVICE_WORKERS')})",
     )
     serve_parser.add_argument(
         "--queue-size", type=int, default=None,
-        help="max queued jobs before 429 backpressure (default 64)",
+        help="max queued jobs before 429 backpressure "
+        f"({_default('REPRO_SERVICE_QUEUE')})",
     )
     serve_parser.add_argument(
         "--timeout", type=float, default=None,
-        help="per-job-attempt wall-clock limit in seconds (enforced in "
-        "--isolation process mode; a fleet's deadline is the lease TTL)",
+        help="per-job-attempt wall-clock limit in seconds, enforced in "
+        "--isolation process and fleet modes "
+        f"({_default('REPRO_JOB_TIMEOUT')})",
     )
     serve_parser.add_argument(
         "--retries", type=int, default=None,
-        help="retries per failed job (default REPRO_RETRIES, else 2)",
+        help=f"retries per failed job ({_default('REPRO_RETRIES')})",
     )
     serve_parser.add_argument(
         "--backoff", type=float, default=None,
         help="base seconds of exponential retry backoff "
-        "(default REPRO_RETRY_BACKOFF)",
+        f"({_default('REPRO_RETRY_BACKOFF')})",
     )
     serve_parser.add_argument(
         "--lease-ttl", type=float, default=None,
         help="fleet lease deadline in seconds; an unheartbeated lease "
-        "expires and requeues after this long "
-        "(default REPRO_FLEET_LEASE_TTL, else 30)",
+        "expires and requeues after this long, and workers heartbeat "
+        f"every third of it ({_default('REPRO_FLEET_LEASE_TTL')})",
     )
     serve_parser.add_argument(
-        "--heartbeat", type=float, default=None,
-        help="fleet heartbeat period handed to workers "
-        "(default REPRO_FLEET_HEARTBEAT, else lease-ttl/3)",
-    )
-    serve_parser.add_argument(
-        "--isolation", choices=("inline", "process", "fleet"), default=None,
+        "--isolation", choices=envcfg.declared("REPRO_SERVICE_ISOLATION").bound,
+        default=None,
         help="run solves in the worker thread (inline), a worker "
         "process (crash isolation + hard deadlines), or dispatch them "
         "to fleet worker nodes over /fleet/v1 (see 'worker')",
@@ -1004,8 +1002,8 @@ def build_parser():
         "worker",
         help="run a fleet worker node against a coordinator",
         epilog="Environment: REPRO_FLEET_WORKER_ID/MAX_INFLIGHT/POLL "
-        "configure the node (flags win); REPRO_FLEET_LEASE_TTL/"
-        "HEARTBEAT are coordinator-side.  The coordinator is a 'serve' "
+        "configure the node (flags win); REPRO_FLEET_LEASE_TTL is "
+        "coordinator-side.  The coordinator is a 'serve' "
         "instance started with --isolation fleet; see docs/fleet.md.",
     )
     worker_parser.add_argument(
@@ -1014,15 +1012,15 @@ def build_parser():
     )
     worker_parser.add_argument(
         "--id", default=None,
-        help="worker id (default REPRO_FLEET_WORKER_ID, else <hostname>-<pid>)",
+        help=f"worker id ({_default('REPRO_FLEET_WORKER_ID')})",
     )
     worker_parser.add_argument(
         "--max-inflight", type=int, default=None,
-        help="jobs leased per round trip (default 2)",
+        help=f"jobs leased per round trip ({_default('REPRO_FLEET_MAX_INFLIGHT')})",
     )
     worker_parser.add_argument(
         "--poll", type=float, default=None,
-        help="idle lease long-poll seconds (default 2)",
+        help=f"idle lease long-poll seconds ({_default('REPRO_FLEET_POLL')})",
     )
     worker_parser.add_argument(
         "--verbose", action="store_true", help="log every lease and completion"

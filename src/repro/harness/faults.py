@@ -11,9 +11,9 @@ runner consults before executing each job attempt:
 * ``kill``      — the pool slot's child process hard-exits
   (``os._exit``); the runner charges only that slot's job and respawns
   the slot (inline, ``kill`` degrades to ``crash``);
-* ``hang``      — the attempt sleeps for :func:`hang_seconds` (default
-  3600 s, override with ``REPRO_FAULT_HANG_SECONDS``) so the slot's
-  per-job timeout fires and the slot is killed;
+* ``hang``      — the attempt sleeps for ``REPRO_FAULT_HANG_SECONDS``
+  (default 3600 s) so the slot's per-job timeout fires and the slot is
+  killed;
 * ``corrupt``   — the job runs normally but its payload is mangled
   before being returned (exercises result validation);
 * ``interrupt`` — the attempt raises ``KeyboardInterrupt`` (exercises
@@ -49,9 +49,6 @@ from repro.utils.errors import ReproError
 FAULT_KINDS = ("crash", "kill", "hang", "corrupt", "interrupt")
 
 _RULE_RE = re.compile(r"^(?P<kind>[a-z]+)@(?P<index>\d+)(?:x(?P<times>\d+))?$")
-
-#: Default sleep of an injected hang — far beyond any sane job timeout.
-DEFAULT_HANG_SECONDS = 3600.0
 
 
 class InjectedFault(ReproError):
@@ -123,22 +120,6 @@ def plan_from_env(environ=None):
     return plan or None
 
 
-def hang_seconds(environ=None):
-    """Sleep length of an injected hang (``REPRO_FAULT_HANG_SECONDS``)."""
-    value = envcfg.raw("REPRO_FAULT_HANG_SECONDS", environ)
-    if not value:
-        return DEFAULT_HANG_SECONDS
-    try:
-        seconds = float(value)
-    except ValueError:
-        raise ReproError(
-            f"REPRO_FAULT_HANG_SECONDS must be a number, got {value!r}"
-        ) from None
-    if seconds < 0:
-        raise ReproError(f"REPRO_FAULT_HANG_SECONDS must be >= 0, got {seconds}")
-    return seconds
-
-
 def corrupt_payload(payload):
     """A structurally broken version of ``payload`` (fails validation)."""
     return {"circuit": payload.get("circuit") if isinstance(payload, dict) else None,
@@ -159,4 +140,4 @@ def raise_fault(kind):
     if kind == "kill":
         os._exit(17)
     if kind == "hang":
-        time.sleep(hang_seconds())
+        time.sleep(envcfg.resolve("REPRO_FAULT_HANG_SECONDS"))

@@ -44,47 +44,6 @@ from repro.recycling.ersfq import DEFAULT_CLOCK_GHZ, estimate_bias_power
 #: default weight-ratio ladder (c1 multiplier over the balance weights)
 DEFAULT_RATIOS = (0.2, 1.0, 4.0, 16.0, 64.0)
 
-#: default grid-point fan-out of :func:`execute_sweep` (overridden by
-#: REPRO_SWEEP_JOBS or the request's runner options)
-DEFAULT_SWEEP_JOBS = 1
-
-#: default cap on K x ratio grid points per sweep request
-DEFAULT_SWEEP_MAX_POINTS = 256
-
-
-def resolve_sweep_clock(clock_ghz=None, environ=None):
-    """Sweep energy-model clock: explicit > REPRO_SWEEP_CLOCK_GHZ > 20."""
-    if clock_ghz is not None:
-        return float(clock_ghz)
-    value = envcfg.number(
-        "REPRO_SWEEP_CLOCK_GHZ",
-        float,
-        lambda v: v > 0 and np.isfinite(v),
-        "a positive number",
-        environ=environ,
-    )
-    return DEFAULT_CLOCK_GHZ if value is None else float(value)
-
-
-def resolve_sweep_jobs(jobs=None, environ=None):
-    """Sweep fan-out: explicit > REPRO_SWEEP_JOBS > 1."""
-    if jobs is not None:
-        return int(jobs)
-    value = envcfg.number(
-        "REPRO_SWEEP_JOBS", int, lambda v: v >= 1, "an integer >= 1", environ=environ
-    )
-    return DEFAULT_SWEEP_JOBS if value is None else value
-
-
-def resolve_sweep_max_points(max_points=None, environ=None):
-    """Grid-size cap: explicit > REPRO_SWEEP_MAX_POINTS > 256."""
-    if max_points is not None:
-        return int(max_points)
-    value = envcfg.number(
-        "REPRO_SWEEP_MAX_POINTS", int, lambda v: v >= 1, "an integer >= 1", environ=environ
-    )
-    return DEFAULT_SWEEP_MAX_POINTS if value is None else value
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -241,7 +200,7 @@ def execute_sweep(normalized, store=None, jobs=None, run_kwargs=None):
     if misses:
         payloads = run_jobs(
             [request_to_job(entry["request"]) for entry in misses],
-            jobs=resolve_sweep_jobs(jobs),
+            jobs=envcfg.resolve("REPRO_SWEEP_JOBS", jobs),
             **(run_kwargs or {}),
         )
         for entry, payload in zip(misses, payloads):

@@ -56,15 +56,14 @@ shares with the fleet coordinator:
   artifact cache (:mod:`repro.cache`); a warm cache turns each slot's
   synthesis step into a cheap load.
 
-The jobs count resolves as: explicit argument > ``REPRO_JOBS``
-environment variable > ``min(os.cpu_count(), 8)``.  Retry/timeout knobs
-resolve the same way: explicit argument > ``REPRO_RETRIES`` /
-``REPRO_JOB_TIMEOUT`` / ``REPRO_RETRY_BACKOFF`` > defaults (2 retries,
-no timeout, 0.05 s backoff base).
+The jobs count and the retry/timeout knobs resolve through
+:func:`repro.envcfg.resolve`: explicit argument > ``REPRO_JOBS`` /
+``REPRO_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_RETRY_BACKOFF`` >
+declared defaults (``min(cpus, 8)`` slots, 2 retries, no timeout,
+0.05 s backoff base).
 """
 
 import multiprocessing
-import os
 import signal
 import time
 import uuid
@@ -89,71 +88,6 @@ from repro.obs import OBS, TraceContext, merge_snapshot
 from repro.obs import capture as obs_capture
 from repro.obs import events as obs_events
 from repro.utils.errors import CacheCorruptError, ReproError
-
-#: Upper bound of the automatic jobs default; beyond this the suite is
-#: typically cache/IO bound and extra workers only add startup cost.
-DEFAULT_MAX_JOBS = 8
-
-#: Default number of retries per job (additional attempts after the first).
-DEFAULT_RETRIES = 2
-
-#: Default exponential-backoff base delay in seconds: a job's n-th retry
-#: waits ``backoff * 2**(n-1)`` before resubmission (:func:`retry_delay`).
-DEFAULT_BACKOFF = 0.05
-
-def resolve_jobs(jobs=None, environ=None):
-    """Resolve an effective worker count (always >= 1).
-
-    ``jobs=None`` (or 0) consults the ``REPRO_JOBS`` environment
-    variable, then falls back to ``min(os.cpu_count(), 8)``.
-    """
-    if jobs in (None, 0):
-        value = envcfg.number(
-            "REPRO_JOBS", int, lambda v: v >= 1, "an integer >= 1", environ
-        )
-        jobs = value if value is not None else min(os.cpu_count() or 1, DEFAULT_MAX_JOBS)
-    jobs = int(jobs)
-    if jobs < 1:
-        raise ReproError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
-def resolve_timeout(timeout=None, environ=None):
-    """Per-job timeout in seconds: explicit > ``REPRO_JOB_TIMEOUT`` > None."""
-    if timeout is not None:
-        timeout = float(timeout)
-        if not timeout > 0:
-            raise ReproError(f"timeout must be > 0 seconds, got {timeout}")
-        return timeout
-    return envcfg.number(
-        "REPRO_JOB_TIMEOUT", float, lambda v: v > 0, "a number of seconds > 0", environ
-    )
-
-
-def resolve_retries(retries=None, environ=None):
-    """Retries per job: explicit > ``REPRO_RETRIES`` > ``DEFAULT_RETRIES``."""
-    if retries is not None:
-        retries = int(retries)
-        if retries < 0:
-            raise ReproError(f"retries must be >= 0, got {retries}")
-        return retries
-    value = envcfg.number(
-        "REPRO_RETRIES", int, lambda v: v >= 0, "an integer >= 0", environ
-    )
-    return DEFAULT_RETRIES if value is None else value
-
-
-def resolve_backoff(backoff=None, environ=None):
-    """Backoff base seconds: explicit > ``REPRO_RETRY_BACKOFF`` > default."""
-    if backoff is not None:
-        backoff = float(backoff)
-        if backoff < 0:
-            raise ReproError(f"backoff must be >= 0 seconds, got {backoff}")
-        return backoff
-    value = envcfg.number(
-        "REPRO_RETRY_BACKOFF", float, lambda v: v >= 0, "a number of seconds >= 0", environ
-    )
-    return DEFAULT_BACKOFF if value is None else value
 
 
 @dataclass(frozen=True)
@@ -653,7 +587,7 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
     Parameters
     ----------
     jobs:
-        Worker count (``None``/0 = ``REPRO_JOBS`` env, else
+        Worker count (``None`` = ``REPRO_JOBS`` env, else
         ``min(cpus, 8)``).
     timeout:
         Per-job-attempt wall-clock limit in seconds (pool mode only;
@@ -689,10 +623,10 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
     """
     global _LAST_REPORT
     job_list = list(job_list)
-    jobs = resolve_jobs(jobs)
-    timeout = resolve_timeout(timeout)
-    retries = resolve_retries(retries)
-    backoff = resolve_backoff(backoff)
+    jobs = envcfg.resolve("REPRO_JOBS", jobs)
+    timeout = envcfg.resolve("REPRO_JOB_TIMEOUT", timeout)
+    retries = envcfg.resolve("REPRO_RETRIES", retries)
+    backoff = envcfg.resolve("REPRO_RETRY_BACKOFF", backoff)
     if fault_plan is None:
         fault_plan = fault_mod.plan_from_env()
 

@@ -30,7 +30,7 @@ from repro.utils.errors import ReproError
 
 #: Version of the job wire format.  Bump on any SuiteJob field change
 #: so mixed-version fleets fail loudly instead of mis-executing.
-JOB_WIRE_VERSION = 1
+JOB_WIRE_VERSION = 2
 
 
 def job_to_wire(job):

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import envcfg
 from repro.utils.errors import RecyclingError
 from repro.utils.units import BIAS_BUS_VOLTAGE_MV, PHI0_WB
 
@@ -56,7 +57,8 @@ MAX_FEEDING_JJ_IC_MA = 0.5
 QUANTA_BUDGET = 10
 #: Default clock frequency of the dynamic-power estimate (GHz); RSFQ
 #: logic families conventionally quote bias-network energy at ~20 GHz.
-DEFAULT_CLOCK_GHZ = 20.0
+#: Declared once, as the default of ``REPRO_SWEEP_CLOCK_GHZ``.
+DEFAULT_CLOCK_GHZ = envcfg.declared("REPRO_SWEEP_CLOCK_GHZ").default
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ import hashlib
 import json
 import math
 
-from repro import __version__
+from repro import __version__, envcfg
 from repro.cache.store import CACHE_SCHEMA_VERSION, canonical_jsonable
 from repro.circuits.suite import SUITE_NAMES
 from repro.core.config import ENGINES, PartitionConfig
@@ -216,9 +216,7 @@ def validate_request(data):
 
     if kind == "sweep":
         # Deferred: repro.harness.pareto pulls in the solver stack.
-        from repro.harness.pareto import (
-            DEFAULT_RATIOS, resolve_sweep_clock, resolve_sweep_max_points,
-        )
+        from repro.harness.pareto import DEFAULT_RATIOS
 
         if method != "gradient":
             raise BadRequestError(
@@ -254,9 +252,9 @@ def validate_request(data):
             raise BadRequestError(f"clock_ghz must be a number > 0, got {clock!r}")
         # Resolved at validation time so the content key pins the clock
         # the energy numbers were computed at.
-        normalized["clock_ghz"] = resolve_sweep_clock(clock)
+        normalized["clock_ghz"] = envcfg.resolve("REPRO_SWEEP_CLOCK_GHZ", clock)
 
-        max_points = resolve_sweep_max_points()
+        max_points = envcfg.resolve("REPRO_SWEEP_MAX_POINTS")
         total = len(normalized["k_values"]) * len(normalized["weight_ratios"])
         if total > max_points:
             raise BadRequestError(

@@ -78,6 +78,7 @@ import time
 import uuid
 from collections import deque
 
+from repro import envcfg
 from repro.harness import faults as fault_mod
 from repro.harness.checkpoint import payload_to_jsonable
 from repro.harness.leases import LeaseQueue, LeaseTask
@@ -168,32 +169,27 @@ class _QueuedJob(LeaseTask):
 class JobManager:
     """See the module docstring."""
 
-    def __init__(self, workers=1, queue_size=64, timeout=None, retries=None,
-                 backoff=None, isolation="inline", store=None, retry_after=1,
-                 fault_plan=None, metrics=None, events=None, tracing=False,
-                 trace_sink=None, fleet=None):
-        if workers < 1:
-            raise ReproError(f"workers must be >= 1, got {workers}")
-        if queue_size < 1:
-            raise ReproError(f"queue_size must be >= 1, got {queue_size}")
-        if isolation not in ("inline", "process", "fleet"):
-            raise ReproError(
-                f"isolation must be 'inline', 'process' or 'fleet', "
-                f"got {isolation!r}"
-            )
+    def __init__(self, workers=None, queue_size=None, timeout=None,
+                 retries=None, backoff=None, isolation=None, store=None,
+                 retry_after=None, fault_plan=None, metrics=None, events=None,
+                 tracing=False, trace_sink=None, fleet=None):
+        # Every knob resolves here, once: explicit > REPRO_* > default.
+        isolation = envcfg.resolve("REPRO_SERVICE_ISOLATION", isolation)
         if isolation == "fleet" and fleet is None:
             raise ReproError(
                 "isolation='fleet' needs a FleetCoordinator (fleet=...)"
             )
         self.fleet = fleet if isolation == "fleet" else None
-        self.workers = workers
-        self.queue_size = queue_size
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
+        self.workers = envcfg.resolve("REPRO_SERVICE_WORKERS", workers)
+        self.queue_size = envcfg.resolve("REPRO_SERVICE_QUEUE", queue_size)
+        self.timeout = envcfg.resolve("REPRO_JOB_TIMEOUT", timeout)
+        self.retries = envcfg.resolve("REPRO_RETRIES", retries)
+        self.backoff = envcfg.resolve("REPRO_RETRY_BACKOFF", backoff)
         self.isolation = isolation
+        # Retry-After is whole seconds.
+        self.retry_after = max(1, int(envcfg.resolve(
+            "REPRO_SERVICE_RETRY_AFTER", retry_after)))
         self.store = store
-        self.retry_after = retry_after
         self.fault_plan = fault_plan
         self.metrics = metrics
         self.events = events          # EventLog (or None: no event emission)
@@ -214,7 +210,7 @@ class JobManager:
             self._queue = LeaseQueue(retries=0, backoff=0.0)
         else:
             # The fleet's one queue: nodes lease from it, it counts attempts.
-            self._queue = LeaseQueue(fleet.retries, fleet.backoff, pack=True)
+            self._queue = LeaseQueue(self.retries, self.backoff, pack=True)
             fleet.bind(self)
         self._jobs = {}                 # id -> Job (bounded; see _evict)
         self._inflight = {}             # key -> queued/running Job

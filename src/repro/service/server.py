@@ -140,12 +140,6 @@ from repro.utils.errors import NetlistError
 #: largest suite circuit is ~1.5 MB; 32 MB leaves ample headroom).
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8731
-DEFAULT_QUEUE_SIZE = 64
-DEFAULT_RETRY_AFTER = 1
-DEFAULT_MAX_WORKERS = 4
-
 #: Handler threads kept waiting in ``accept()`` for the next connection.
 IDLE_HANDLER_THREADS = 4
 
@@ -164,62 +158,6 @@ RESULT_TEXT_BYTES = 1024 * 1024
 #: is under 200 bytes; an inline netlist is never kept.
 REQUEST_MEMO_BODY_BYTES = 512
 REQUEST_MEMO_ENTRIES = 256
-
-
-def resolve_host(host=None, environ=None):
-    if host:
-        return host
-    return envcfg.raw("REPRO_SERVICE_HOST", environ) or DEFAULT_HOST
-
-
-def resolve_port(port=None, environ=None):
-    if port is not None:
-        return int(port)
-    value = envcfg.number(
-        "REPRO_SERVICE_PORT", int, lambda v: v >= 0, "an integer >= 0", environ
-    )
-    return DEFAULT_PORT if value is None else value
-
-
-def resolve_workers(workers=None, environ=None):
-    import os
-
-    if workers is not None:
-        return max(1, int(workers))
-    value = envcfg.number(
-        "REPRO_SERVICE_WORKERS", int, lambda v: v >= 1, "an integer >= 1", environ
-    )
-    if value is not None:
-        return value
-    return min(os.cpu_count() or 1, DEFAULT_MAX_WORKERS)
-
-
-def resolve_queue_size(queue_size=None, environ=None):
-    if queue_size is not None:
-        return max(1, int(queue_size))
-    value = envcfg.number(
-        "REPRO_SERVICE_QUEUE", int, lambda v: v >= 1, "an integer >= 1", environ
-    )
-    return DEFAULT_QUEUE_SIZE if value is None else value
-
-
-def resolve_retry_after(retry_after=None, environ=None):
-    if retry_after is not None:
-        return max(1, int(retry_after))
-    value = envcfg.number(
-        "REPRO_SERVICE_RETRY_AFTER", float, lambda v: v > 0,
-        "a number of seconds > 0", environ,
-    )
-    return DEFAULT_RETRY_AFTER if value is None else max(1, int(value))
-
-
-def resolve_isolation(isolation=None, environ=None):
-    if isolation is not None:
-        return isolation
-    return envcfg.choice(
-        "REPRO_SERVICE_ISOLATION", ("inline", "process", "fleet"), "inline",
-        environ,
-    )
 
 
 def route_label(method, path):
@@ -281,31 +219,29 @@ class PartitionService:
     def __init__(self, workers=None, queue_size=None, timeout=None,
                  retries=None, backoff=None, isolation=None, store=None,
                  retry_after=None, fault_plan=None, events=None,
-                 tracing=False, lease_ttl=None, heartbeat=None):
+                 tracing=False, lease_ttl=None):
         self.metrics = MetricsRegistry()
         self.tracer = Tracer()
         self.tracer.enabled = True
         self._telemetry_lock = threading.Lock()
         self.store = store if store is not None else ResultStore()
         self.events = events if events is not None else EventLog.service_default()
-        isolation = resolve_isolation(isolation)
+        isolation = envcfg.resolve("REPRO_SERVICE_ISOLATION", isolation)
         self.fleet = None
         if isolation == "fleet":
             from repro.fleet.coordinator import FleetCoordinator
 
-            self.fleet = FleetCoordinator(lease_ttl=lease_ttl,
-                                          heartbeat=heartbeat,
-                                          retries=retries, backoff=backoff)
+            self.fleet = FleetCoordinator(lease_ttl=lease_ttl)
         self.manager = JobManager(
-            workers=resolve_workers(workers),
-            queue_size=resolve_queue_size(queue_size),
+            workers=workers,
+            queue_size=queue_size,
             timeout=timeout,
             retries=retries,
             backoff=backoff,
             isolation=isolation,
             fleet=self.fleet,
             store=self.store,
-            retry_after=resolve_retry_after(retry_after),
+            retry_after=retry_after,
             fault_plan=fault_plan,
             metrics=self.metrics,
             events=self.events if self.events.enabled else None,
@@ -1389,11 +1325,18 @@ class PartitionHTTPServer:
 
 
 def build_server(host=None, port=None, verbose=False, **service_opts):
-    """A ready (not yet serving) server; ``port=0`` picks a free port."""
-    service = PartitionService(**service_opts).start()
-    return PartitionHTTPServer(
-        (resolve_host(host), resolve_port(port)), service, verbose=verbose
-    )
+    """A ready (not yet serving) server; ``port=0`` picks a free port.
+
+    Every knob resolves before the socket binds, and the service starts
+    only once it is bound, so a bad value or a taken port fails with
+    nothing left running.
+    """
+    address = (envcfg.resolve("REPRO_SERVICE_HOST", host),
+               envcfg.resolve("REPRO_SERVICE_PORT", port))
+    service = PartitionService(**service_opts)
+    server = PartitionHTTPServer(address, service, verbose=verbose)
+    service.start()
+    return server
 
 
 #: Drain bound when neither ``drain_timeout`` nor REPRO_JOB_TIMEOUT is
@@ -1425,9 +1368,7 @@ def serve(host=None, port=None, verbose=False, ready_line=True,
         service.manager.begin_drain()
         bound = drain_timeout
         if bound is None:
-            from repro.harness.runner import resolve_timeout
-
-            bound = resolve_timeout(None)
+            bound = envcfg.resolve("REPRO_JOB_TIMEOUT")
         if bound is None:
             bound = DEFAULT_DRAIN_TIMEOUT
         drained = service.manager.drain(timeout=bound)

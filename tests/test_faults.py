@@ -2,13 +2,12 @@
 
 import pytest
 
+from repro import envcfg
 from repro.harness.faults import (
-    DEFAULT_HANG_SECONDS,
     FaultPlan,
     FaultRule,
     InjectedFault,
     corrupt_payload,
-    hang_seconds,
     plan_from_env,
     raise_fault,
 )
@@ -85,5 +84,6 @@ def test_corrupt_payload_is_structurally_invalid():
 
 
 def test_hang_seconds_env():
-    assert hang_seconds(environ={}) == DEFAULT_HANG_SECONDS
-    assert hang_seconds(environ={"REPRO_FAULT_HANG_SECONDS": "2.5"}) == 2.5
+    hang = "REPRO_FAULT_HANG_SECONDS"
+    assert envcfg.resolve(hang, environ={}) == 3600.0
+    assert envcfg.resolve(hang, environ={hang: "2.5"}) == 2.5

@@ -36,18 +36,19 @@ def solved():
 def fleet():
     """``make(**coordinator_kwargs)`` -> a started fleet-mode manager
     and its coordinator (which counts and emits into the manager's
-    ``metrics`` and ``events``)."""
+    ``metrics`` and ``events``, and takes its retries, backoff and
+    timeout)."""
     managers = []
 
-    def make(workers=1, metrics=None, events=None, **kwargs):
+    def make(workers=1, metrics=None, events=None, retries=2, backoff=0.0,
+             timeout=None, **kwargs):
         kwargs.setdefault("lease_ttl", 30.0)
-        kwargs.setdefault("retries", 2)
-        kwargs.setdefault("backoff", 0.0)
         kwargs.setdefault("reap_interval", 3600.0)  # reaper effectively manual
         coordinator = FleetCoordinator(**kwargs)
         manager = JobManager(workers=workers, isolation="fleet",
                              fleet=coordinator, metrics=metrics,
-                             events=events).start()
+                             events=events, retries=retries, backoff=backoff,
+                             timeout=timeout).start()
         managers.append(manager)
         return manager, coordinator
 
@@ -188,13 +189,43 @@ def test_heartbeat_extends_the_lease_deadline(solved, fleet):
     grant = coordinator.lease("w1")[0]
     lease_id = grant["lease"]
     with coordinator._cond:
-        _task, _worker, before = coordinator._leases[lease_id]
+        _task, _worker, before, _solve_by = coordinator._leases[lease_id]
     response = coordinator.heartbeat("w1", [lease_id, "no-such-lease"])
     assert response["extended"] == [lease_id]
     assert response["unknown"] == ["no-such-lease"]
     with coordinator._cond:
-        _task, _worker, after = coordinator._leases[lease_id]
+        _task, _worker, after, _solve_by = coordinator._leases[lease_id]
     assert after >= before
+
+
+def test_heartbeats_never_extend_a_lease_past_its_solve_deadline(solved, fleet):
+    """A node whose daemon thread keeps beating while its solve spins is
+    charged ``timed-out`` at the job's timeout, not held forever."""
+    _normalized, _key, payload = solved
+    metrics = MetricsRegistry()
+    manager, coordinator = fleet(timeout=5.0, metrics=metrics)
+    job = submit(manager, solved)
+    leased_by = time.time()
+    grant = coordinator.lease("w1")[0]
+    lease_id = grant["lease"]
+    for _beat in range(3):
+        assert coordinator.heartbeat("w1", [lease_id])["extended"] == [lease_id]
+        # Well inside the lease TTL, and inside the solve deadline.
+        assert coordinator.reap_expired(now=time.time() + 4.0) == 0
+    # Past the solve deadline, though the last beat was under 30 s ago.
+    assert coordinator.reap_expired(now=leased_by + 5.5 + 1.0) == 1
+    assert job.state == "running"  # requeued: retries remain
+    (task,) = manager._queue.pending
+    assert [(f.kind, f.attempt) for f in task.failures] == [("timed-out", 1)]
+    assert "passed its solve deadline (5.0 s)" in task.failures[0].message
+    assert metrics.as_dict()["fleet.failures.timed-out"]["value"] == 1
+    assert coordinator.complete("w1", lease_id, ok=True,
+                                payload=payload) == "stale"
+    retry = coordinator.lease("w2")[0]
+    assert retry["attempt"] == 2
+    assert coordinator.complete("w2", retry["lease"], ok=True,
+                                payload=payload) == "accepted"
+    assert job.state == "done" and job.payload == payload
 
 
 def test_backoff_gates_the_requeued_job(solved, fleet):

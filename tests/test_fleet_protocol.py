@@ -1,17 +1,12 @@
-"""Wire serialization and knob resolvers of the fleet protocol."""
+"""Wire serialization and knobs of the fleet protocol."""
 
 import json
 
 import pytest
 
+from repro import envcfg
 from repro.core.config import PartitionConfig
-from repro.fleet.protocol import (
-    resolve_heartbeat,
-    resolve_lease_ttl,
-    resolve_max_inflight,
-    resolve_poll,
-    resolve_worker_id,
-)
+from repro.fleet.coordinator import FleetCoordinator
 from repro.harness.runner import SuiteJob
 from repro.harness.wire import JOB_WIRE_VERSION, job_from_wire, job_to_wire
 from repro.service.api import request_to_job, validate_request
@@ -100,38 +95,35 @@ def test_job_to_wire_rejects_non_jobs():
 # -- knob resolvers -----------------------------------------------------
 
 def test_lease_ttl_explicit_env_and_default():
-    assert resolve_lease_ttl(5, environ={}) == 5.0
-    assert resolve_lease_ttl(None, environ={"REPRO_FLEET_LEASE_TTL": "12"}) == 12.0
-    assert resolve_lease_ttl(None, environ={}) == 30.0
+    ttl = "REPRO_FLEET_LEASE_TTL"
+    assert envcfg.resolve(ttl, 5, environ={}) == 5.0
+    assert envcfg.resolve(ttl, None, environ={ttl: "12"}) == 12.0
+    assert envcfg.resolve(ttl, None, environ={}) == 30.0
     with pytest.raises(ReproError):
-        resolve_lease_ttl(0, environ={})
+        envcfg.resolve(ttl, 0, environ={})
 
 
-def test_heartbeat_defaults_to_third_of_ttl_and_is_capped():
-    assert resolve_heartbeat(None, lease_ttl=30, environ={}) == pytest.approx(10.0)
-    # an over-long heartbeat is capped at half the TTL
-    assert resolve_heartbeat(100, lease_ttl=30, environ={}) == pytest.approx(15.0)
-    assert resolve_heartbeat(
-        None, lease_ttl=30, environ={"REPRO_FLEET_HEARTBEAT": "2"}
-    ) == pytest.approx(2.0)
+def test_heartbeat_is_a_third_of_the_lease_ttl():
+    assert FleetCoordinator(lease_ttl=30).heartbeat_s == pytest.approx(10.0)
+    assert FleetCoordinator(lease_ttl=1.5).heartbeat_s == pytest.approx(0.5)
 
 
 def test_max_inflight_and_poll_resolvers():
-    assert resolve_max_inflight(None, environ={}) == 2
-    assert resolve_max_inflight(4, environ={}) == 4
-    assert resolve_max_inflight(
-        None, environ={"REPRO_FLEET_MAX_INFLIGHT": "3"}
-    ) == 3
+    inflight, poll = "REPRO_FLEET_MAX_INFLIGHT", "REPRO_FLEET_POLL"
+    assert envcfg.resolve(inflight, None, environ={}) == 2
+    assert envcfg.resolve(inflight, 4, environ={}) == 4
+    assert envcfg.resolve(inflight, None, environ={inflight: "3"}) == 3
     with pytest.raises(ReproError):
-        resolve_max_inflight(0, environ={})
-    assert resolve_poll(None, environ={}) == 2.0
-    assert resolve_poll(0, environ={}) == 0.0
+        envcfg.resolve(inflight, 0, environ={})
+    assert envcfg.resolve(poll, None, environ={}) == 2.0
+    assert envcfg.resolve(poll, 0, environ={}) == 0.0
     with pytest.raises(ReproError):
-        resolve_poll(-1, environ={})
+        envcfg.resolve(poll, -1, environ={})
 
 
 def test_worker_id_resolution_order():
-    assert resolve_worker_id("w9", environ={}) == "w9"
-    assert resolve_worker_id(None, environ={"REPRO_FLEET_WORKER_ID": "envy"}) == "envy"
-    fallback = resolve_worker_id(None, environ={})
+    worker_id = "REPRO_FLEET_WORKER_ID"
+    assert envcfg.resolve(worker_id, "w9", environ={}) == "w9"
+    assert envcfg.resolve(worker_id, None, environ={worker_id: "envy"}) == "envy"
+    fallback = envcfg.resolve(worker_id, None, environ={})
     assert "-" in fallback and len(fallback) > 3

@@ -3,17 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import envcfg
 from repro.core.incremental import (
-    DEFAULT_ECO_HALO,
-    DEFAULT_ECO_QUALITY_EPS,
-    DEFAULT_ECO_THRESHOLD,
     align_labels,
     carry_forward_labels,
     incremental_partition,
     quality_ok,
-    resolve_eco_halo,
-    resolve_eco_quality_eps,
-    resolve_eco_threshold,
 )
 from repro.core.partitioner import partition
 from repro.netlist.graph import bfs_levels, bounded_bfs_levels
@@ -247,38 +242,41 @@ def test_bounded_bfs_matches_clipped_full_bfs(mixed_netlist):
 # Knob resolution (REPRO_ECO_*)
 # ---------------------------------------------------------------------------
 
+HALO, THRESHOLD, EPS = "REPRO_ECO_HALO", "REPRO_ECO_THRESHOLD", "REPRO_ECO_QUALITY_EPS"
+
+
 def test_knob_defaults_and_explicit_overrides():
-    assert resolve_eco_halo() == DEFAULT_ECO_HALO
-    assert resolve_eco_threshold() == DEFAULT_ECO_THRESHOLD
-    assert resolve_eco_quality_eps() == DEFAULT_ECO_QUALITY_EPS
-    assert resolve_eco_halo(4) == 4
-    assert resolve_eco_threshold(0.5) == 0.5
-    assert resolve_eco_quality_eps(0.0) == 0.0
+    assert envcfg.resolve(HALO) == 2
+    assert envcfg.resolve(THRESHOLD) == 0.25
+    assert envcfg.resolve(EPS) == 0.05
+    assert envcfg.resolve(HALO, 4) == 4
+    assert envcfg.resolve(THRESHOLD, 0.5) == 0.5
+    assert envcfg.resolve(EPS, 0.0) == 0.0
 
 
 def test_knobs_resolve_from_environment(monkeypatch):
     monkeypatch.setenv("REPRO_ECO_HALO", "3")
     monkeypatch.setenv("REPRO_ECO_THRESHOLD", "0.4")
     monkeypatch.setenv("REPRO_ECO_QUALITY_EPS", "0.1")
-    assert resolve_eco_halo() == 3
-    assert resolve_eco_threshold() == 0.4
-    assert resolve_eco_quality_eps() == 0.1
+    assert envcfg.resolve(HALO) == 3
+    assert envcfg.resolve(THRESHOLD) == 0.4
+    assert envcfg.resolve(EPS) == 0.1
     # Explicit values beat the environment.
-    assert resolve_eco_halo(1) == 1
+    assert envcfg.resolve(HALO, 1) == 1
 
 
 def test_knobs_reject_invalid_values(monkeypatch):
-    with pytest.raises(PartitionError, match="halo must be >= 0"):
-        resolve_eco_halo(-1)
+    with pytest.raises(PartitionError, match="REPRO_ECO_HALO must be an integer >= 0"):
+        envcfg.resolve(HALO, -1)
     with pytest.raises(PartitionError, match="fraction in"):
-        resolve_eco_threshold(0.0)
+        envcfg.resolve(THRESHOLD, 0.0)
     with pytest.raises(PartitionError, match="fraction in"):
-        resolve_eco_threshold(1.5)
-    with pytest.raises(PartitionError, match="quality eps"):
-        resolve_eco_quality_eps(-0.1)
+        envcfg.resolve(THRESHOLD, 1.5)
+    with pytest.raises(PartitionError, match="REPRO_ECO_QUALITY_EPS must be a number >= 0"):
+        envcfg.resolve(EPS, -0.1)
     monkeypatch.setenv("REPRO_ECO_HALO", "-2")
     with pytest.raises(ReproError, match="REPRO_ECO_HALO"):
-        resolve_eco_halo()
+        envcfg.resolve(HALO)
 
 
 # ---------------------------------------------------------------------------

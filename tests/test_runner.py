@@ -6,13 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import envcfg, obs
 from repro.core.config import PartitionConfig
 from repro.harness.runner import (
-    DEFAULT_MAX_JOBS,
     SuiteJob,
     execute_job,
-    resolve_jobs,
     run_jobs,
 )
 from repro.harness.tables import run_table1, run_table3
@@ -66,32 +64,38 @@ def _fingerprint(reports):
 
 
 # ----------------------------------------------------------------------
-# resolve_jobs
+# resolve_jobs: REPRO_JOBS through envcfg.resolve
 # ----------------------------------------------------------------------
+JOBS = "REPRO_JOBS"
+
+
 def test_resolve_jobs_explicit_wins():
-    assert resolve_jobs(3, environ={"REPRO_JOBS": "7"}) == 3
+    assert envcfg.resolve(JOBS, 3, environ={"REPRO_JOBS": "7"}) == 3
 
 
 def test_resolve_jobs_env_override():
-    assert resolve_jobs(None, environ={"REPRO_JOBS": "5"}) == 5
-    assert resolve_jobs(0, environ={"REPRO_JOBS": " 2 "}) == 2
+    assert envcfg.resolve(JOBS, None, environ={"REPRO_JOBS": "5"}) == 5
+    assert envcfg.resolve(JOBS, None, environ={"REPRO_JOBS": " 2 "}) == 2
+    # 0 is out of bound, not "unset": it cannot silently mean min(cpus, 8).
+    with pytest.raises(ReproError, match="REPRO_JOBS must be an integer >= 1, got 0"):
+        envcfg.resolve(JOBS, 0, environ={"REPRO_JOBS": " 2 "})
 
 
 def test_resolve_jobs_default_is_capped_cpu_count():
     import os
 
-    expected = min(os.cpu_count() or 1, DEFAULT_MAX_JOBS)
-    assert resolve_jobs(None, environ={}) == expected
-    assert 1 <= resolve_jobs(None, environ={}) <= DEFAULT_MAX_JOBS
+    expected = min(os.cpu_count() or 1, 8)
+    assert envcfg.resolve(JOBS, None, environ={}) == expected
+    assert 1 <= envcfg.resolve(JOBS, None, environ={}) <= 8
 
 
 def test_resolve_jobs_rejects_bad_values():
     with pytest.raises(ReproError, match="REPRO_JOBS"):
-        resolve_jobs(None, environ={"REPRO_JOBS": "many"})
+        envcfg.resolve(JOBS, None, environ={"REPRO_JOBS": "many"})
     with pytest.raises(ReproError, match=">= 1"):
-        resolve_jobs(-2, environ={})
+        envcfg.resolve(JOBS, -2, environ={})
     with pytest.raises(ReproError, match=">= 1"):
-        resolve_jobs(None, environ={"REPRO_JOBS": "-1"})
+        envcfg.resolve(JOBS, None, environ={"REPRO_JOBS": "-1"})
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import envcfg, obs
 from repro.core.config import PartitionConfig
 from repro.harness.faults import FaultPlan
 from repro.harness.runner import (
@@ -19,9 +19,6 @@ from repro.harness.runner import (
     RunReport,
     SuiteJob,
     last_report,
-    resolve_backoff,
-    resolve_retries,
-    resolve_timeout,
     run_jobs,
     validate_payload,
 )
@@ -87,31 +84,35 @@ def _fingerprint(payloads):
 # ----------------------------------------------------------------------
 # Knob resolution
 # ----------------------------------------------------------------------
+TIMEOUT, RETRIES, BACKOFF = "REPRO_JOB_TIMEOUT", "REPRO_RETRIES", "REPRO_RETRY_BACKOFF"
+
+
 def test_resolve_timeout_env_and_validation():
-    assert resolve_timeout(None, environ={}) is None
-    assert resolve_timeout(None, environ={"REPRO_JOB_TIMEOUT": "2.5"}) == 2.5
-    assert resolve_timeout(7, environ={"REPRO_JOB_TIMEOUT": "2.5"}) == 7.0
+    assert envcfg.resolve(TIMEOUT, None, environ={}) is None
+    assert envcfg.resolve(TIMEOUT, None, environ={TIMEOUT: "2.5"}) == 2.5
+    assert envcfg.resolve(TIMEOUT, 7, environ={TIMEOUT: "2.5"}) == 7.0
     with pytest.raises(ReproError, match="REPRO_JOB_TIMEOUT"):
-        resolve_timeout(None, environ={"REPRO_JOB_TIMEOUT": "soon"})
-    with pytest.raises(ReproError, match="timeout"):
-        resolve_timeout(0)
+        envcfg.resolve(TIMEOUT, None, environ={TIMEOUT: "soon"})
+    with pytest.raises(ReproError,
+                       match="REPRO_JOB_TIMEOUT must be a number of seconds > 0, got 0"):
+        envcfg.resolve(TIMEOUT, 0)
 
 
 def test_resolve_retries_env_and_validation():
-    assert resolve_retries(None, environ={}) == 2
-    assert resolve_retries(None, environ={"REPRO_RETRIES": "0"}) == 0
-    assert resolve_retries(5, environ={"REPRO_RETRIES": "0"}) == 5
+    assert envcfg.resolve(RETRIES, None, environ={}) == 2
+    assert envcfg.resolve(RETRIES, None, environ={RETRIES: "0"}) == 0
+    assert envcfg.resolve(RETRIES, 5, environ={RETRIES: "0"}) == 5
     with pytest.raises(ReproError, match="REPRO_RETRIES"):
-        resolve_retries(None, environ={"REPRO_RETRIES": "-1"})
-    with pytest.raises(ReproError, match="retries"):
-        resolve_retries(-1)
+        envcfg.resolve(RETRIES, None, environ={RETRIES: "-1"})
+    with pytest.raises(ReproError, match="REPRO_RETRIES must be an integer >= 0, got -1"):
+        envcfg.resolve(RETRIES, -1)
 
 
 def test_resolve_backoff_env():
-    assert resolve_backoff(None, environ={}) == 0.05
-    assert resolve_backoff(None, environ={"REPRO_RETRY_BACKOFF": "0"}) == 0.0
+    assert envcfg.resolve(BACKOFF, None, environ={}) == 0.05
+    assert envcfg.resolve(BACKOFF, None, environ={BACKOFF: "0"}) == 0.0
     with pytest.raises(ReproError, match="REPRO_RETRY_BACKOFF"):
-        resolve_backoff(None, environ={"REPRO_RETRY_BACKOFF": "slow"})
+        envcfg.resolve(BACKOFF, None, environ={BACKOFF: "slow"})
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,10 @@ same stack the CLI, benchmark and CI smoke use.
 """
 
 import contextlib
+import os
+import socket
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -195,3 +199,44 @@ def test_client_reports_unreachable_server():
     client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
     with pytest.raises(ReproError, match="cannot reach service"):
         client.health()
+
+
+PORT_SHAPE = "REPRO_SERVICE_PORT must be an integer in [0, 65535]"
+
+
+@pytest.mark.parametrize("args, env, message", [
+    (["--port", "70000"], {}, f"{PORT_SHAPE}, got 70000"),
+    ([], {"REPRO_SERVICE_PORT": "70000"}, f"{PORT_SHAPE}, got '70000'"),
+    (["--port", "0", "--retries", "-1"], {},
+     "REPRO_RETRIES must be an integer >= 0, got -1"),
+    (["--port", "0", "--timeout", "0"], {},
+     "REPRO_JOB_TIMEOUT must be a number of seconds > 0, got 0.0"),
+    (["--port", "0", "--backoff", "-1"], {},
+     "REPRO_RETRY_BACKOFF must be a number of seconds >= 0, got -1.0"),
+    (["--port", "0", "--workers", "0"], {},
+     "REPRO_SERVICE_WORKERS must be an integer >= 1, got 0"),
+], ids=["port-flag", "port-env", "retries", "timeout", "backoff", "workers"])
+def test_serve_refuses_a_bad_knob_in_one_line_before_binding(tmp_path, args, env,
+                                                             message):
+    environ = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path), **env)
+    environ["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.harness.cli", "serve", *args],
+        env=environ, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"error: {message}"]
+    assert "listening" not in result.stdout
+
+
+def test_a_taken_port_leaves_no_service_thread_running(tmp_path):
+    def service_threads():
+        return [t for t in threading.enumerate()
+                if t.name.startswith("repro-service-worker")]
+
+    before = service_threads()
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        with pytest.raises(OSError):
+            build_server(host="127.0.0.1", port=taken.getsockname()[1],
+                         workers=2, store=ResultStore(root=str(tmp_path)))
+    assert service_threads() == before
